@@ -27,16 +27,17 @@
 //!   collective_campaign           # full sweep + JSON
 //!   collective_campaign --smoke   # fan-in 512 flat, both modes (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use desim::affinity;
+use desim::Trace;
 use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::combine::CombOp;
 use vorx::hpcnet::{NodeAddr, Topology};
-use vorx::{VorxBuilder, VorxShardedSim};
+use vorx::{TraceEvent, VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{across_workers, Campaign, Fixed, Report, Watchdog};
+use vorx_bench::obj;
 
 /// Shard count, fixed per cell across worker counts (clamped to the
 /// cluster count on the smallest worlds); the shard partition is part of
@@ -92,7 +93,7 @@ struct RunOutcome {
     /// Simulated ns for the `OPS` timed allreduces, measured at the root.
     ops_ns: u64,
     end_ns: u64,
-    trace: String,
+    trace: Trace<TraceEvent>,
     wall_s: f64,
     coll_retries: u64,
 }
@@ -100,7 +101,7 @@ struct RunOutcome {
 fn run_once(fanin: usize, topo: Topo, mode: CollMode, workers: usize) -> RunOutcome {
     let t = topo.build(fanin).expect("cell exists");
     assert_eq!(t.n_endpoints(), fanin, "topology/fan-in mismatch");
-    let v: VorxShardedSim = VorxBuilder::with_topology(t)
+    let mut v: VorxShardedSim = VorxBuilder::with_topology(t)
         .seed(SEED)
         .shards(SHARDS)
         .build_sharded(workers);
@@ -132,7 +133,6 @@ fn run_once(fanin: usize, topo: Topo, mode: CollMode, workers: usize) -> RunOutc
             }
         });
     }
-    let mut v = v;
     let wall = Instant::now();
     let end = v.run_all();
     let wall_s = wall.elapsed().as_secs_f64();
@@ -140,7 +140,7 @@ fn run_once(fanin: usize, topo: Topo, mode: CollMode, workers: usize) -> RunOutc
     RunOutcome {
         ops_ns: ops_ns.load(Ordering::Relaxed),
         end_ns: end.as_ns(),
-        trace: v.merged_trace().to_json(),
+        trace: v.merged_trace(),
         wall_s,
         coll_retries,
     }
@@ -161,8 +161,12 @@ struct Cell {
 }
 
 fn run_cell(fanin: usize, topo: Topo, mode: CollMode, mode_name: &'static str) -> Cell {
-    let r1 = run_once(fanin, topo, mode, 1);
-    let r4 = run_once(fanin, topo, mode, 4);
+    let sweep = across_workers(
+        &[1, 4],
+        |w| run_once(fanin, topo, mode, w),
+        |r| (&r.trace, r.end_ns),
+    );
+    let (r1, r4) = (&sweep.runs[0], &sweep.runs[1]);
     assert!(r1.ops_ns > 0, "root never timed its ops");
     assert_eq!(
         r1.coll_retries,
@@ -176,69 +180,35 @@ fn run_cell(fanin: usize, topo: Topo, mode: CollMode, mode_name: &'static str) -
         mode_name,
         op_ns: r1.ops_ns / OPS,
         end_ns: r1.end_ns,
-        trace_identical: r1.trace == r4.trace && r1.end_ns == r4.end_ns,
+        trace_identical: sweep.identical(),
         wall_s_w1: r1.wall_s,
         wall_s_w4: r4.wall_s,
         coll_retries: r1.coll_retries,
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The campaign as a `BENCH_collective.json` report.
+fn report(cells: &[Cell]) -> Report {
+    let rows = cells.iter().map(|c| {
+        obj! {
+            "fanin": c.fanin, "topo": c.topo.name(), "mode": c.mode_name, "op_ns": c.op_ns,
+            "end_ns": c.end_ns, "trace_identical_workers_1_4": c.trace_identical,
+            "wall_s_w1": Fixed(c.wall_s_w1, 3), "wall_s_w4": Fixed(c.wall_s_w4, 3),
+            "coll_retries": c.coll_retries,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
+    });
+    let speedups = speedups(cells).into_iter().map(|(fanin, topo, s)| {
+        obj! {
+            "fanin": fanin, "topo": topo, "innet_speedup": Fixed(s, 2),
         }
-    }
-}
-
-/// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
-fn to_json(host_cpus: usize, cells: &[Cell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"collective campaign: one group of <fanin> members, warm-up barrier \
+    });
+    Report::new(
+        "collective campaign: one group of <fanin> members, warm-up barrier \
          then 4 timed sum-allreduces; op_ns is the root's per-op simulated latency; \
-         software tree radix 8; workers {1,4} traces compared per cell\",\n",
-    );
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"fanin\": {}, \"topo\": \"{}\", \"mode\": \"{}\", \"op_ns\": {}, \
-             \"end_ns\": {}, \"trace_identical_workers_1_4\": {}, \"wall_s_w1\": {:.3}, \
-             \"wall_s_w4\": {:.3}, \"coll_retries\": {} }}{}\n",
-            c.fanin,
-            c.topo.name(),
-            c.mode_name,
-            c.op_ns,
-            c.end_ns,
-            c.trace_identical,
-            c.wall_s_w1,
-            c.wall_s_w4,
-            c.coll_retries,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"speedups\": [\n");
-    let pairs = speedups(cells);
-    for (i, (fanin, topo, s)) in pairs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"fanin\": {}, \"topo\": \"{}\", \"innet_speedup\": {:.2} }}{}\n",
-            fanin,
-            topo,
-            s,
-            if i + 1 == pairs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+         software tree radix 8; workers {1,4} traces compared per cell",
+    )
+    .rows("cells", rows)
+    .rows("speedups", speedups)
 }
 
 /// software-tree op_ns / in-network op_ns, per `(fanin, topo)`.
@@ -253,26 +223,6 @@ fn speedups(cells: &[Cell]) -> Vec<(usize, &'static str, f64)> {
         }
     }
     out
-}
-
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("collective campaign: watchdog expired after {secs}s — the run hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
 }
 
 fn print_cell(c: &Cell) {
@@ -304,16 +254,16 @@ fn assert_speedup(cells: &[Cell], fanin: usize, min: f64) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let campaign = Campaign::start();
     let modes: [(CollMode, &'static str); 2] = [
         (CollMode::InNetwork, "innet"),
         (CollMode::SoftwareTree { radix: RADIX }, "tree"),
     ];
 
-    if smoke {
+    if campaign.smoke {
         // One point past the gate threshold, flat only: big enough that the
         // O(fan-in) root convoy would be unmissable, small enough for CI.
-        let cells: Vec<Cell> = with_watchdog(600, || {
+        let cells: Vec<Cell> = Watchdog::new("collective campaign", 600).run(|| {
             modes
                 .iter()
                 .map(|(m, name)| run_cell(512, Topo::Flat, *m, name))
@@ -340,7 +290,8 @@ fn main() {
                 continue;
             }
             for (m, name) in &modes {
-                cells.push(with_watchdog(3600, || run_cell(fanin, topo, *m, name)));
+                let watchdog = Watchdog::new("collective campaign", 3600);
+                cells.push(watchdog.run(|| run_cell(fanin, topo, *m, name)));
                 print_cell(cells.last().expect("just pushed"));
             }
         }
@@ -368,9 +319,5 @@ fn main() {
          — that is not ~log scaling"
     );
 
-    let host_cpus = affinity::effective_parallelism();
-    let root = workspace_root();
-    let path = root.join("BENCH_collective.json");
-    std::fs::write(&path, to_json(host_cpus, &cells)).expect("write BENCH_collective.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_collective.json", &report(&cells));
 }

@@ -16,15 +16,18 @@
 //!   datapath_report           # full sweep + BENCH_datapath.json
 //!   datapath_report --smoke   # one comparison, assert windowed >= 2x (CI)
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults};
 use parking_lot::Mutex;
 use vorx::channel;
-use vorx::hpcnet::{copymeter, NodeAddr, Payload};
+use vorx::hpcnet::{copymeter, NodeAddr};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{Calibration, VorxBuilder};
+use vorx_bench::campaign::{
+    links_where, seq_of, seq_payload, Campaign, Fixed, Report, ShardTotals,
+};
+use vorx_bench::obj;
 use vorx_bench::report::{render, Row};
 
 /// Messages per cell (enough to amortize rendezvous and reach steady state).
@@ -46,19 +49,14 @@ struct Cell {
     elapsed_ns: u64,
     per_msg_us: f64,
     goodput_kbps: f64,
-    retransmits: u64,
-    dups_suppressed: u64,
     payload_bytes_copied: u64,
-    pool_hits: u64,
-    pool_misses: u64,
-    pool_recycled: u64,
+    /// Payload-pool `(hits, misses, recycled)`.
+    pool: (u64, u64, u64),
     leaked: usize,
+    /// Recovery counters and queue high-water marks.
+    totals: ShardTotals,
     /// Per-link injection counters, links with any activity only.
     link_faults: Vec<(u32, desim::LinkStats)>,
-    /// Max port-link occupancy high-water mark (slots).
-    depth_hwm: usize,
-    /// Max per-switch sheddable-byte high-water mark.
-    bytes_hwm: u64,
 }
 
 /// Stream `MSGS` messages of `msg_bytes` from node 0 to node 1 with the
@@ -84,9 +82,7 @@ fn run_cell(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Cell {
         let ch = channel::open(&ctx, NodeAddr(0), "dp");
         span_w.lock().0 = ctx.now().as_ns();
         for i in 0..MSGS {
-            let mut buf = vec![0u8; msg_bytes.max(4)];
-            buf[..4].copy_from_slice(&i.to_le_bytes());
-            ch.write(&ctx, Payload::copy_from(&buf)).unwrap();
+            ch.write(&ctx, seq_payload(i, msg_bytes)).unwrap();
         }
         ch.close(&ctx); // flushes the window in pipelined mode
     });
@@ -96,10 +92,7 @@ fn run_cell(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Cell {
     v.spawn("n1:reader", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(1), "dp");
         for _ in 0..MSGS {
-            let p = ch.read(&ctx).unwrap();
-            sink.lock().push(u32::from_le_bytes(
-                p.bytes().unwrap()[..4].try_into().unwrap(),
-            ));
+            sink.lock().push(seq_of(&ch.read(&ctx).unwrap()));
         }
         span_r.lock().1 = ctx.now().as_ns();
     });
@@ -110,13 +103,6 @@ fn run_cell(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Cell {
     let order = got.lock().clone();
     let completed = order == (0..MSGS).collect::<Vec<_>>() && leaked == 0 && elapsed_ns > 0;
     let w = v.world();
-    let (pool_hits, pool_misses, pool_recycled) = w.payload_pool.stats();
-    let link_faults: Vec<(u32, desim::LinkStats)> = w
-        .link_fault_stats()
-        .iter()
-        .filter(|(_, s)| **s != desim::LinkStats::default())
-        .map(|(l, s)| (*l, *s))
-        .collect();
     let secs = elapsed_ns as f64 / 1e9;
     Cell {
         window,
@@ -131,80 +117,44 @@ fn run_cell(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Cell {
         } else {
             0.0
         },
-        retransmits: w.faults.stats.retransmits,
-        dups_suppressed: w.faults.stats.dups_suppressed,
         payload_bytes_copied: copymeter::payload_bytes_copied(),
-        pool_hits,
-        pool_misses,
-        pool_recycled,
+        pool: w.payload_pool.stats(),
         leaked,
-        link_faults,
-        depth_hwm: w.net.max_port_link_depth_hwm(),
-        bytes_hwm: w.net.max_cluster_data_bytes_hwm(),
+        totals: ShardTotals::of_world(&w),
+        link_faults: links_where(&w, |s| *s != desim::LinkStats::default()),
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The sweep as a `BENCH_datapath.json` report.
+fn report(cells: &[Cell]) -> Report {
+    let rows = cells.iter().map(|c| {
+        obj! {
+            "window": c.window, "msg_bytes": c.msg_bytes, "loss": Fixed(c.loss, 2), "seed": c.seed,
+            "completed": c.completed, "elapsed_ns": c.elapsed_ns,
+            "per_msg_us": Fixed(c.per_msg_us, 1), "goodput_kbps": Fixed(c.goodput_kbps, 1),
+            "retransmits": c.totals.faults.retransmits,
+            "dups_suppressed": c.totals.faults.dups_suppressed,
+            "payload_bytes_copied": c.payload_bytes_copied, "pool_hits": c.pool.0,
+            "pool_misses": c.pool.1, "pool_recycled": c.pool.2,
+            "leaked_waiters": c.leaked,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
-fn to_json(cells: &[Cell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"windowed channel data path: window x message size x loss sweep, \
-         writer n0 -> reader n1; window 1 = paper stop-and-wait\",\n",
-    );
-    out.push_str(&format!(
-        "  \"paper\": {{ \"table2_stop_and_wait_4B_us\": {PAPER_SW_4B_US}, \
-         \"table1_sliding_window_4B_us\": {PAPER_WIN_4B_US} }},\n"
-    ));
-    out.push_str(&format!("  \"messages_per_cell\": {MSGS},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"window\": {}, \"msg_bytes\": {}, \"loss\": {:.2}, \"seed\": {}, \
-             \"completed\": {}, \"elapsed_ns\": {}, \"per_msg_us\": {:.1}, \
-             \"goodput_kbps\": {:.1}, \"retransmits\": {}, \"dups_suppressed\": {}, \
-             \"payload_bytes_copied\": {}, \"pool_hits\": {}, \"pool_misses\": {}, \
-             \"pool_recycled\": {}, \"leaked_waiters\": {} }}{}\n",
-            c.window,
-            c.msg_bytes,
-            c.loss,
-            c.seed,
-            c.completed,
-            c.elapsed_ns,
-            c.per_msg_us,
-            c.goodput_kbps,
-            c.retransmits,
-            c.dups_suppressed,
-            c.payload_bytes_copied,
-            c.pool_hits,
-            c.pool_misses,
-            c.pool_recycled,
-            c.leaked,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    });
+    let paper = obj! {
+        "table2_stop_and_wait_4B_us": PAPER_SW_4B_US,
+        "table1_sliding_window_4B_us": PAPER_WIN_4B_US,
+    };
+    Report::new(
+        "windowed channel data path: window x message size x loss sweep, \
+         writer n0 -> reader n1; window 1 = paper stop-and-wait",
+    )
+    .field("paper", paper)
+    .field("messages_per_cell", MSGS)
+    .rows("cells", rows)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
+    let campaign = Campaign::start();
+    if campaign.smoke {
         // CI gate: the acceptance ratio from the issue — windowed (W=8)
         // goodput at least 2x stop-and-wait for 256-byte messages on a
         // clean network — plus zero payload copies on the single-fragment
@@ -255,12 +205,10 @@ fn main() {
             .iter()
             .filter(|c| c.msg_bytes == size && c.loss == 0.0)
             .map(|c| {
-                let paper = if size == 4 && c.window == 1 {
-                    Some(PAPER_SW_4B_US)
-                } else if size == 4 && c.window == 32 {
-                    Some(PAPER_WIN_4B_US)
-                } else {
-                    None
+                let paper = match (size, c.window) {
+                    (4, 1) => Some(PAPER_SW_4B_US),
+                    (4, 32) => Some(PAPER_WIN_4B_US),
+                    _ => None,
                 };
                 Row::new(
                     format!("window {:>2}", c.window),
@@ -289,7 +237,11 @@ fn main() {
         println!(
             "  window {:>2}: {} retransmits, {} dups suppressed, \
              depth hwm {} slots / {} B",
-            c.window, c.retransmits, c.dups_suppressed, c.depth_hwm, c.bytes_hwm
+            c.window,
+            c.totals.faults.retransmits,
+            c.totals.faults.dups_suppressed,
+            c.totals.depth_hwm,
+            c.totals.bytes_hwm
         );
         for (l, s) in &c.link_faults {
             println!(
@@ -318,8 +270,5 @@ fn main() {
         g(1)
     );
 
-    let root = workspace_root();
-    let path = root.join("BENCH_datapath.json");
-    std::fs::write(&path, to_json(&cells)).expect("write BENCH_datapath.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_datapath.json", &report(&cells));
 }

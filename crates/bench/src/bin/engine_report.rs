@@ -15,6 +15,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use vorx_bench::campaign::{workspace_root, Campaign, Fixed, Lines, Report};
+use vorx_bench::obj;
+
 #[derive(Debug, Clone, Copy)]
 struct Stats {
     min_ns: f64,
@@ -43,107 +46,50 @@ fn parse_stats(json: &str) -> Option<Stats> {
 
 /// Read every `<bench>.json` in `dir` into a name → stats map.
 fn read_dir_stats(dir: &Path) -> BTreeMap<String, Stats> {
-    let mut out = BTreeMap::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return out;
-    };
-    for e in entries.flatten() {
-        let p = e.path();
-        if p.extension().is_none_or(|x| x != "json") {
-            continue;
-        }
-        let Some(name) = p.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if let Some(st) = std::fs::read_to_string(&p)
-            .ok()
-            .as_deref()
-            .and_then(parse_stats)
-        {
-            out.insert(name.to_string(), st);
-        }
-    }
-    out
+    let entries = std::fs::read_dir(dir).into_iter().flatten().flatten();
+    entries
+        .filter_map(|e| {
+            let p = e.path();
+            let name = p.file_stem()?.to_str()?.to_string();
+            let stats = parse_stats(&std::fs::read_to_string(&p).ok()?)?;
+            (p.extension()? == "json").then_some((name, stats))
+        })
+        .collect()
 }
 
-/// Pull the `"before"` object out of an existing report (naive but
-/// sufficient: the report is machine-written with known nesting).
+/// Pull the `"before"` section out of an existing report. The report is
+/// machine-written with one `"bench": { ... }` entry per line, so the
+/// section is the run of lines between its key and its closing brace.
 fn read_existing_before(report: &Path) -> BTreeMap<String, Stats> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(report) else {
-        return out;
-    };
-    let Some(start) = text.find("\"before\":") else {
-        return out;
-    };
-    let body = &text[start..];
-    let Some(open) = body.find('{') else {
-        return out;
-    };
-    let mut depth = 0usize;
-    let mut end = open;
-    for (i, c) in body[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = open + i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let obj = &body[open..=end];
-    // Each bench is `"name":{...}` one level down.
-    let mut rest = &obj[1..];
-    while let Some(q) = rest.find('"') {
-        let after = &rest[q + 1..];
-        let Some(q2) = after.find('"') else { break };
-        let name = &after[..q2];
-        let Some(ob) = after.find('{') else { break };
-        let Some(cb) = after[ob..].find('}') else {
-            break;
-        };
-        if let Some(st) = parse_stats(&after[ob..=ob + cb]) {
-            out.insert(name.to_string(), st);
-        }
-        rest = &after[ob + cb..];
-    }
-    out
+    let text = std::fs::read_to_string(report).unwrap_or_default();
+    let lines = text.lines().map(str::trim);
+    lines
+        .skip_while(|l| !l.starts_with("\"before\":"))
+        .skip(1)
+        .take_while(|l| !l.starts_with('}'))
+        .filter_map(|l| {
+            let name = l.strip_prefix('"')?.split('"').next()?;
+            Some((name.to_string(), parse_stats(l)?))
+        })
+        .collect()
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-fn emit_section(out: &mut String, name: &str, stats: &BTreeMap<String, Stats>) {
-    out.push_str(&format!("  \"{name}\": {{\n"));
-    let n = stats.len();
-    for (i, (bench, st)) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{bench}\": {{\"min_ns\": {:.1}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-            st.min_ns,
-            st.median_ns,
-            st.mean_ns,
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    out.push_str("  }");
+/// One section of the report: bench name -> its summary.
+fn section(stats: &BTreeMap<String, Stats>) -> Lines {
+    Lines::entries(
+        4,
+        stats.iter().map(|(bench, st)| {
+            let obj = obj! {
+                "min_ns": Fixed(st.min_ns, 1), "median_ns": Fixed(st.median_ns, 1),
+                "mean_ns": Fixed(st.mean_ns, 1),
+            };
+            (bench, obj)
+        }),
+    )
 }
 
 fn main() {
+    let campaign = Campaign::start();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let set_baseline = args.iter().any(|a| a == "--set-baseline");
     let baseline_dir = args
@@ -173,33 +119,21 @@ fn main() {
         read_existing_before(&report_path)
     };
 
-    let mut out = String::from("{\n");
-    out.push_str(
-        "  \"note\": \"desim engine hot-path benches, ns of host wall time; \
+    let mut report = Report::new(
+        "desim engine hot-path benches, ns of host wall time; \
          measured with the vendored criterion stand-in (vendor/README.md), so \
          only before/after ratios are comparable, not absolute numbers from \
-         real criterion\",\n",
-    );
-    emit_section(&mut out, "before", &before);
-    out.push_str(",\n");
-    emit_section(&mut out, "after", &after);
+         real criterion",
+    )
+    .field("before", section(&before))
+    .field("after", section(&after));
     if !before.is_empty() {
-        out.push_str(",\n  \"speedup_median\": {\n");
-        let common: Vec<_> = after
-            .iter()
-            .filter_map(|(k, a)| before.get(k).map(|b| (k, b.median_ns / a.median_ns)))
-            .collect();
-        for (i, (k, s)) in common.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{k}\": {s:.2}{}\n",
-                if i + 1 < common.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  }");
+        let speedups = after.iter().filter_map(|(k, a)| {
+            let b = before.get(k)?;
+            Some((k, Fixed(b.median_ns / a.median_ns, 2)))
+        });
+        report = report.field("speedup_median", Lines::entries(4, speedups));
     }
-    out.push_str("\n}\n");
-
-    std::fs::write(&report_path, &out).expect("write BENCH_engine.json");
-    println!("wrote {}", report_path.display());
+    let out = campaign.write("BENCH_engine.json", &report);
     print!("{out}");
 }

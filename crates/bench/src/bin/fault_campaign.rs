@@ -18,15 +18,18 @@
 //!   fault_campaign            # full sweep + BENCH_faults.json
 //!   fault_campaign --smoke    # one faulted cell, assert it recovers (CI)
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults, SimTime};
 use parking_lot::Mutex;
 use vorx::channel;
-use vorx::hpcnet::{NodeAddr, Payload};
+use vorx::hpcnet::NodeAddr;
 use vorx::objmgr::ObjMgrMode;
 use vorx::{VorxBuilder, VorxError};
+use vorx_bench::campaign::{
+    lat_suffix, links_where, seq_of, seq_payload, Campaign, Fixed, Progress, Report, ShardTotals,
+};
+use vorx_bench::obj;
 use vorx_bench::report::{render, Row};
 
 /// Messages in the stream.
@@ -47,28 +50,6 @@ fn stream_name(generation: u32) -> String {
     format!("stream.g{generation}")
 }
 
-/// 256 B payload carrying its stream index in the first four bytes.
-fn msg_payload(idx: u32) -> Payload {
-    let mut buf = vec![0u8; MSG_LEN];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-/// Recover the stream index from a payload.
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// What the reader observed, shared with the harness.
-#[derive(Default)]
-struct Progress {
-    /// Indices committed, in commit order.
-    delivered: Vec<u32>,
-    /// Crash-to-first-post-recovery-delivery latency.
-    recovery_ns: Option<u64>,
-}
-
 /// One campaign cell's outcome.
 struct CellResult {
     loss: f64,
@@ -78,20 +59,12 @@ struct CellResult {
     delivered: u32,
     elapsed_ns: u64,
     goodput_kbps: f64,
-    retransmits: u64,
-    dups_suppressed: u64,
-    corrupted_rx: u64,
-    peer_down_events: u64,
-    crashes: u64,
-    restarts: u64,
     recovery_ns: Option<u64>,
     leaked_waiters: usize,
+    /// Recovery counters and queue high-water marks.
+    totals: ShardTotals,
     /// Per-link injection counters, links with any activity only.
     link_faults: Vec<(u32, desim::LinkStats)>,
-    /// Max port-link occupancy high-water mark (slots).
-    depth_hwm: usize,
-    /// Max per-switch sheddable-byte high-water mark.
-    bytes_hwm: u64,
 }
 
 /// Run one cell: fixed seed, `loss` on every link, optionally one
@@ -117,7 +90,7 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
         let mut idx = 0u32;
         let mut ch = channel::try_open(&ctx, WRITER, &stream_name(0)).expect("initial open");
         while idx < MSGS {
-            match ch.write(&ctx, msg_payload(idx)) {
+            match ch.write(&ctx, seq_payload(idx, MSG_LEN)) {
                 Ok(()) => idx += 1,
                 Err(_) => {
                     // Peer declared down: abandon this generation and
@@ -129,7 +102,7 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
                     ch = channel::try_open(&ctx, WRITER, &stream_name(generation))
                         .expect("failover open");
                     let resume = ch.read(&ctx).expect("resume index");
-                    idx = index_of(&resume);
+                    idx = seq_of(&resume);
                 }
             }
         }
@@ -150,11 +123,7 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
                     continue 'recover;
                 }
             };
-            if generation > 0
-                && ch
-                    .write(&ctx, Payload::copy_from(&expect.to_le_bytes()))
-                    .is_err()
-            {
+            if generation > 0 && ch.write(&ctx, seq_payload(expect, 4)).is_err() {
                 // Crashed again before the resume index got through.
                 vorx::fault::wait_until_up(&ctx, READER);
                 generation += 1;
@@ -163,7 +132,7 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
             loop {
                 match ch.read(&ctx) {
                     Ok(payload) => {
-                        let i = index_of(&payload);
+                        let i = seq_of(&payload);
                         if i != expect {
                             continue; // app-level duplicate from the rewind
                         }
@@ -203,30 +172,10 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
     }
     let elapsed_ns = report.now.as_ns();
     let leaked_waiters = report.parked.len();
-    let (stats, link_faults, depth_hwm, bytes_hwm) = {
-        let w = v.world();
-        let link_faults: Vec<(u32, desim::LinkStats)> = w
-            .link_fault_stats()
-            .iter()
-            .filter(|(_, s)| **s != desim::LinkStats::default())
-            .map(|(l, s)| (*l, *s))
-            .collect();
-        (
-            w.faults.stats.clone(),
-            link_faults,
-            w.net.max_port_link_depth_hwm(),
-            w.net.max_cluster_data_bytes_hwm(),
-        )
-    };
-
+    let w = v.world();
     let g = progress.lock();
-    let in_order = g
-        .delivered
-        .iter()
-        .enumerate()
-        .all(|(i, &got)| got == i as u32);
     let delivered = g.delivered.len() as u32;
-    let completed = delivered == MSGS && in_order && leaked_waiters == 0;
+    let completed = g.complete(MSGS) && leaked_waiters == 0;
     let secs = SimTime::from_ns(elapsed_ns).as_secs_f64();
     let goodput_kbps = if secs > 0.0 {
         (u64::from(delivered) * MSG_LEN as u64) as f64 / 1e3 / secs
@@ -241,17 +190,10 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
         delivered,
         elapsed_ns,
         goodput_kbps,
-        retransmits: stats.retransmits,
-        dups_suppressed: stats.dups_suppressed,
-        corrupted_rx: stats.corrupted_rx,
-        peer_down_events: stats.peer_down_events,
-        crashes: stats.crashes,
-        restarts: stats.restarts,
         recovery_ns: g.recovery_ns,
         leaked_waiters,
-        link_faults,
-        depth_hwm,
-        bytes_hwm,
+        totals: ShardTotals::of_world(&w),
+        link_faults: links_where(&w, |s| *s != desim::LinkStats::default()),
     }
 }
 
@@ -259,89 +201,48 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
 /// with the delivered-latency profile when the schedule recorded one.
 fn print_link_faults(cell: &CellResult) {
     for (l, s) in &cell.link_faults {
-        let lat = if s.lat_count > 0 {
-            format!(
-                " lat(ns) min/mean/max={}/{}/{} over {}",
-                s.lat_min_ns,
-                s.lat_mean_ns(),
-                s.lat_max_ns,
-                s.lat_count
-            )
-        } else {
-            String::new()
-        };
         println!(
-            "  link {l}: dropped={} corrupted={} delayed={} down_drops={} downs={} flaps={}{lat}",
-            s.dropped, s.corrupted, s.delayed, s.down_drops, s.downs, s.flaps
+            "  link {l}: dropped={} corrupted={} delayed={} down_drops={} downs={} flaps={}{}",
+            s.dropped,
+            s.corrupted,
+            s.delayed,
+            s.down_drops,
+            s.downs,
+            s.flaps,
+            lat_suffix(s)
         );
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The campaign as a `BENCH_faults.json` report.
+fn report(cells: &[CellResult]) -> Report {
+    let workload = obj! {
+        "messages": MSGS, "bytes_per_message": MSG_LEN, "nodes": 4u32, "crash_at_ns": CRASH_AT_NS,
+        "restart_at_ns": RESTART_AT_NS,
+    };
+    let rows = cells.iter().map(|c| {
+        let f = &c.totals.faults;
+        obj! {
+            "loss": Fixed(c.loss, 2), "crashes": u32::from(c.crashed), "seed": c.seed,
+            "completed": c.completed, "delivered": c.delivered, "elapsed_ns": c.elapsed_ns,
+            "goodput_kbps": Fixed(c.goodput_kbps, 1), "retransmits": f.retransmits,
+            "dups_suppressed": f.dups_suppressed, "corrupted_rx": f.corrupted_rx,
+            "peer_down_events": f.peer_down_events, "node_crashes": f.crashes,
+            "node_restarts": f.restarts, "recovery_latency_ns": c.recovery_ns,
+            "leaked_waiters": c.leaked_waiters,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Emit the campaign as hand-rolled JSON (same convention as the other
-/// BENCH_*.json reports: no serde dependency on the output path).
-fn to_json(cells: &[CellResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"seeded fault campaign: writer n1 -> reader n2, \
-         stop-and-wait channel with retransmit + failover\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{ \"messages\": {MSGS}, \"bytes_per_message\": {MSG_LEN}, \
-         \"nodes\": 4, \"crash_at_ns\": {CRASH_AT_NS}, \"restart_at_ns\": {RESTART_AT_NS} }},\n",
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let recovery = c
-            .recovery_ns
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".into());
-        out.push_str(&format!(
-            "    {{ \"loss\": {:.2}, \"crashes\": {}, \"seed\": {}, \"completed\": {}, \
-             \"delivered\": {}, \"elapsed_ns\": {}, \"goodput_kbps\": {:.1}, \
-             \"retransmits\": {}, \"dups_suppressed\": {}, \"corrupted_rx\": {}, \
-             \"peer_down_events\": {}, \"node_crashes\": {}, \"node_restarts\": {}, \
-             \"recovery_latency_ns\": {}, \"leaked_waiters\": {} }}{}\n",
-            c.loss,
-            u32::from(c.crashed),
-            c.seed,
-            c.completed,
-            c.delivered,
-            c.elapsed_ns,
-            c.goodput_kbps,
-            c.retransmits,
-            c.dups_suppressed,
-            c.corrupted_rx,
-            c.peer_down_events,
-            c.crashes,
-            c.restarts,
-            recovery,
-            c.leaked_waiters,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    });
+    Report::new(
+        "seeded fault campaign: writer n1 -> reader n2, \
+         stop-and-wait channel with retransmit + failover",
+    )
+    .field("workload", workload)
+    .rows("cells", rows)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
+    let campaign = Campaign::start();
+    if campaign.smoke {
         // CI gate: 5% loss plus one crash/restart, fixed seed. The workload
         // must complete exactly-once in order with nothing left parked.
         let c = run_cell(0.05, true, 0xFA05);
@@ -352,17 +253,18 @@ fn main() {
         );
         assert!(c.completed, "smoke: stream did not complete in order");
         assert_eq!(c.leaked_waiters, 0, "smoke: leaked blocked waiters");
-        assert_eq!((c.crashes, c.restarts), (1, 1), "smoke: fault plane idle");
+        let f = &c.totals.faults;
+        assert_eq!((f.crashes, f.restarts), (1, 1), "smoke: fault plane idle");
         println!(
             "fault-campaign smoke OK: {}/{MSGS} delivered, {} retransmits, \
              {} dups suppressed, recovery {:.1} ms, 0 leaked waiters, \
              depth hwm {} slots / {} B",
             c.delivered,
-            c.retransmits,
-            c.dups_suppressed,
+            f.retransmits,
+            f.dups_suppressed,
             c.recovery_ns.unwrap_or(0) as f64 / 1e6,
-            c.depth_hwm,
-            c.bytes_hwm,
+            c.totals.depth_hwm,
+            c.totals.bytes_hwm,
         );
         print_link_faults(&c);
         return;
@@ -396,20 +298,21 @@ fn main() {
         )
     );
     for c in &cells {
+        let f = &c.totals.faults;
         println!(
             "loss {:>4.2} crash {}: completed={} retransmits={} dups={} peer_down={} \
              recovery={} depth_hwm={} bytes_hwm={}",
             c.loss,
             u32::from(c.crashed),
             c.completed,
-            c.retransmits,
-            c.dups_suppressed,
-            c.peer_down_events,
+            f.retransmits,
+            f.dups_suppressed,
+            f.peer_down_events,
             c.recovery_ns
                 .map(|n| format!("{:.1}ms", n as f64 / 1e6))
                 .unwrap_or_else(|| "-".into()),
-            c.depth_hwm,
-            c.bytes_hwm,
+            c.totals.depth_hwm,
+            c.totals.bytes_hwm,
         );
         print_link_faults(c);
     }
@@ -420,8 +323,5 @@ fn main() {
         "{incomplete} campaign cells failed to recover"
     );
 
-    let root = workspace_root();
-    let path = root.join("BENCH_faults.json");
-    std::fs::write(&path, to_json(&cells)).expect("write BENCH_faults.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_faults.json", &report(&cells));
 }

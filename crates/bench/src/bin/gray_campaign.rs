@@ -30,13 +30,13 @@
 //!   gray_campaign            # full sweep + BENCH_gray.json
 //!   gray_campaign --smoke    # reduced sweep under a wall-clock watchdog
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
-
-use desim::{FaultSchedule, SimDuration, SimTime};
-use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
-use vorx::{channel, FaultStats, VCtx, VorxBuilder, VorxShardedSim};
+use desim::{FaultSchedule, SimTime, Trace};
+use vorx::hpcnet::Topology;
+use vorx::{TraceEvent, VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{
+    across_workers, nodes_of, violations, Cables, Campaign, Report, ShardTotals, Streams, Watchdog,
+};
+use vorx_bench::obj;
 
 /// Hierarchy shape: two groups of four clusters.
 const LEVELS: [usize; 2] = [4, 2];
@@ -55,20 +55,9 @@ fn topo() -> Topology {
     Topology::hierarchical_hypercube_redundant(&LEVELS, EPS).expect("valid machine")
 }
 
-/// Endpoints of cluster `c`, in address order.
-fn nodes_of(t: &Topology, c: u32) -> Vec<NodeAddr> {
-    t.endpoints()
-        .filter(|&n| t.cluster_of(n) == ClusterId(c))
-        .collect()
-}
-
 /// Both directed link ids of the cluster cable `a`–`b`.
 fn cable(a: u32, b: u32) -> [u32; 2] {
-    let f = Fabric::new(topo(), NetConfig::paper_1988());
-    [
-        f.cluster_link(ClusterId(a), ClusterId(b)).expect("wired").0,
-        f.cluster_link(ClusterId(b), ClusterId(a)).expect("wired").0,
-    ]
+    Cables::new(topo()).of(a, b)
 }
 
 /// Every cluster cable the campaign streams can cross, both directions.
@@ -85,21 +74,25 @@ fn all_cables() -> Vec<u32> {
         GW_CABLE,
         (1, 5), // the standby gateway class
     ];
-    pairs.iter().flat_map(|&(a, b)| cable(a, b)).collect()
+    let cables = Cables::new(topo());
+    pairs.iter().flat_map(|&(a, b)| cables.of(a, b)).collect()
 }
 
 /// One campaign cell: a named fault script plus the oracles it arms.
 struct Cell {
     name: &'static str,
     schedule: fn(u64) -> FaultSchedule,
-    /// Pure-delay cell: arm the no-false-`PeerDown` and retransmit-bound
-    /// oracles (nothing in the script loses or downs anything).
-    pure_delay: bool,
-    /// Ceiling on total retransmits (bootstrap + severe-ramp allowance)
-    /// for pure-delay cells; `u64::MAX` disarms the bound.
-    retx_bound: u64,
+    /// Set on pure-delay cells (nothing in the script loses or downs
+    /// anything): arms the no-false-`PeerDown` oracle and caps total
+    /// retransmits at this bootstrap + severe-ramp allowance.
+    retx_bound: Option<u64>,
     /// The script must (fast train) or must not (slow train) trip damping.
     expect_flaps: Option<bool>,
+}
+
+/// Sim time `n` milliseconds in.
+const fn ms(n: u64) -> SimTime {
+    SimTime::from_ns(n * 1_000_000)
 }
 
 /// Symmetric moderate inflation on every cable: ~20 µs per transit — far
@@ -108,13 +101,7 @@ struct Cell {
 fn sched_moderate(seed: u64) -> FaultSchedule {
     let mut s = FaultSchedule::new(seed);
     for l in all_cables() {
-        s = s.degrade(
-            l,
-            SimTime::from_ns(2_000_000),
-            SimTime::from_ns(60_000_000_000),
-            40.0,
-            2_000,
-        );
+        s = s.degrade(l, ms(2), ms(60_000), 40.0, 2_000);
     }
     s
 }
@@ -127,21 +114,8 @@ fn sched_moderate(seed: u64) -> FaultSchedule {
 fn sched_severe_ramp(seed: u64) -> FaultSchedule {
     let mut s = FaultSchedule::new(seed);
     for l in all_cables() {
-        s = s
-            .degrade(
-                l,
-                SimTime::from_ns(2_000_000),
-                SimTime::from_ns(40_000_000),
-                2_000.0,
-                10_000,
-            )
-            .degrade(
-                l,
-                SimTime::from_ns(40_000_000),
-                SimTime::from_ns(60_000_000_000),
-                100_000.0,
-                10_000,
-            );
+        s = s.degrade(l, ms(2), ms(40), 2_000.0, 10_000);
+        s = s.degrade(l, ms(40), ms(60_000), 100_000.0, 10_000);
     }
     s
 }
@@ -150,13 +124,8 @@ fn sched_severe_ramp(seed: u64) -> FaultSchedule {
 /// a clean return path. Latency stats and timers must handle the
 /// per-direction split.
 fn sched_asym(seed: u64) -> FaultSchedule {
-    FaultSchedule::new(seed).degrade(
-        cable(DEG_CABLE.0, DEG_CABLE.1)[0],
-        SimTime::from_ns(2_000_000),
-        SimTime::from_ns(60_000_000_000),
-        2_000.0,
-        10_000,
-    )
+    let forward = cable(DEG_CABLE.0, DEG_CABLE.1)[0];
+    FaultSchedule::new(seed).degrade(forward, ms(2), ms(60_000), 2_000.0, 10_000)
 }
 
 /// Slow flap train: transitions 30 ms apart — wider than the 50 ms window
@@ -164,7 +133,7 @@ fn sched_asym(seed: u64) -> FaultSchedule {
 fn sched_flap_slow(seed: u64) -> FaultSchedule {
     let mut s = FaultSchedule::new(seed);
     for l in cable(FLAP_CABLE.0, FLAP_CABLE.1) {
-        s = s.flap_link(l, SimTime::from_ns(10_000_000), 30_000_000, 3);
+        s = s.flap_link(l, ms(10), 30_000_000, 3);
     }
     s
 }
@@ -175,7 +144,7 @@ fn sched_flap_slow(seed: u64) -> FaultSchedule {
 fn sched_flap_fast(seed: u64) -> FaultSchedule {
     let mut s = FaultSchedule::new(seed);
     for l in cable(FLAP_CABLE.0, FLAP_CABLE.1) {
-        s = s.flap_link(l, SimTime::from_ns(10_000_000), 4_000_000, 5);
+        s = s.flap_link(l, ms(10), 4_000_000, 5);
     }
     s
 }
@@ -187,87 +156,46 @@ fn sched_flap_fast(seed: u64) -> FaultSchedule {
 fn sched_gateway(seed: u64) -> FaultSchedule {
     let mut s = FaultSchedule::new(seed);
     for l in cable(GW_CABLE.0, GW_CABLE.1) {
-        s = s
-            .link_down_at(l, SimTime::from_ns(10_000_000))
-            .link_up_at(l, SimTime::from_ns(80_000_000));
+        s = s.link_down_at(l, ms(10)).link_up_at(l, ms(80));
     }
     s
 }
 
-const CELLS: [Cell; 6] = [
+const fn cell(
+    name: &'static str,
+    schedule: fn(u64) -> FaultSchedule,
+    retx_bound: Option<u64>,
+    expect_flaps: Option<bool>,
+) -> Cell {
     Cell {
-        name: "delay-moderate-sym",
-        schedule: sched_moderate,
-        pure_delay: true,
-        retx_bound: 8,
-        expect_flaps: None,
-    },
-    Cell {
-        name: "delay-severe-ramp",
-        schedule: sched_severe_ramp,
-        pure_delay: true,
-        retx_bound: 96,
-        expect_flaps: None,
-    },
-    Cell {
-        name: "delay-asym",
-        schedule: sched_asym,
-        pure_delay: true,
-        retx_bound: 8,
-        expect_flaps: None,
-    },
-    Cell {
-        name: "flap-slow",
-        schedule: sched_flap_slow,
-        pure_delay: false,
-        retx_bound: u64::MAX,
-        expect_flaps: Some(false),
-    },
-    Cell {
-        name: "flap-fast",
-        schedule: sched_flap_fast,
-        pure_delay: false,
-        retx_bound: u64::MAX,
-        expect_flaps: Some(true),
-    },
-    Cell {
-        name: "gateway-failover",
-        schedule: sched_gateway,
-        pure_delay: false,
-        retx_bound: u64::MAX,
-        expect_flaps: None,
-    },
+        name,
+        schedule,
+        retx_bound,
+        expect_flaps,
+    }
+}
+
+static CELLS: [Cell; 6] = [
+    cell("delay-moderate-sym", sched_moderate, Some(8), None),
+    cell("delay-severe-ramp", sched_severe_ramp, Some(96), None),
+    cell("delay-asym", sched_asym, Some(8), None),
+    cell("flap-slow", sched_flap_slow, None, Some(false)),
+    cell("flap-fast", sched_flap_fast, None, Some(true)),
+    cell("gateway-failover", sched_gateway, None, None),
 ];
 
 /// Everything one `(cell, seed, workers)` run produced.
 struct RunOutcome {
-    trace: String,
+    trace: Trace<TraceEvent>,
     end_ns: u64,
     delivered: u32,
     done: u32,
     expected_done: u32,
     fifo_ok: bool,
     membership_ok: bool,
-    stats: FaultStats,
-    flaps: u64,
-    downs: u64,
+    /// Fault counters, link flaps/downs and latencies over shards.
+    totals: ShardTotals,
     rtt_samples: u64,
-    lat_min_ns: u64,
-    lat_max_ns: u64,
-    lat_mean_ns: u64,
-    lat_count: u64,
-}
-
-/// Payload carrying its stream sequence number.
-fn msg_payload(i: u32) -> Payload {
-    let mut buf = vec![0u8; 64];
-    buf[..4].copy_from_slice(&i.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Run one cell at `workers`, oracles evaluated at quiescence.
@@ -278,117 +206,59 @@ fn run_once(cell: &Cell, seed: u64, workers: usize, msgs: u32) -> RunOutcome {
         .faults((cell.schedule)(seed))
         .build_sharded(workers);
 
-    let done = Arc::new(AtomicU32::new(0));
-    let fifo_ok = Arc::new(AtomicBool::new(true));
-    let delivered = Arc::new(AtomicU32::new(0));
     // Streams across every interesting edge: the degraded cable, the
     // flapping cable, and the gateway in both directions.
-    let streams: Vec<(NodeAddr, NodeAddr, String)> = vec![
+    let streams = [
         (
             nodes_of(&t, DEG_CABLE.0)[0],
             nodes_of(&t, DEG_CABLE.1)[0],
-            "gray.deg".into(),
+            "gray.deg",
         ),
         (
             nodes_of(&t, FLAP_CABLE.0)[1],
             nodes_of(&t, FLAP_CABLE.1)[1],
-            "gray.flap".into(),
+            "gray.flap",
         ),
-        (nodes_of(&t, 3)[0], nodes_of(&t, 5)[0], "gray.xg".into()),
-        (nodes_of(&t, 6)[0], nodes_of(&t, 2)[0], "gray.gx".into()),
+        (nodes_of(&t, 3)[0], nodes_of(&t, 5)[0], "gray.xg"),
+        (nodes_of(&t, 6)[0], nodes_of(&t, 2)[0], "gray.gx"),
     ];
-    let expected_done = 2 * streams.len() as u32;
-    for (wn, rn, name) in streams {
-        let rname = name.clone();
-        let (f_ok, del, d1, d2) = (
-            Arc::clone(&fifo_ok),
-            Arc::clone(&delivered),
-            Arc::clone(&done),
-            Arc::clone(&done),
-        );
-        v.spawn_at(wn, format!("n{}:w:{name}", wn.0), move |ctx: VCtx| {
-            let ch = channel::open(&ctx, wn, &name);
-            for i in 0..msgs {
-                ctx.sleep(SimDuration::from_ns(PACE_NS));
-                ch.write(&ctx, msg_payload(i)).expect("writer failed");
-            }
-            d1.fetch_add(1, Ordering::Relaxed);
-        });
-        v.spawn_at(rn, format!("n{}:r:{rname}", rn.0), move |ctx: VCtx| {
-            let ch = channel::open(&ctx, rn, &rname);
-            for expect in 0..msgs {
-                let i = index_of(&ch.read(&ctx).expect("reader failed"));
-                if i != expect {
-                    f_ok.store(false, Ordering::Relaxed);
-                }
-                del.fetch_add(1, Ordering::Relaxed);
-            }
-            d2.fetch_add(1, Ordering::Relaxed);
-        });
+    let probe = Streams::default();
+    for stream in streams {
+        probe.spawn(&v, stream, msgs, PACE_NS, |_| 64);
     }
 
     let end = v.run_all();
-    let trace = v.merged_trace().to_json();
+    let trace = v.merged_trace();
 
-    let mut stats = FaultStats::default();
     let mut membership_ok = true;
-    let (mut flaps, mut downs) = (0u64, 0u64);
-    let (mut lat_min, mut lat_max, mut lat_sum, mut lat_count) = (u64::MAX, 0u64, 0u64, 0u64);
     let mut rtt_samples = 0u64;
     for k in 0..v.n_shards() {
-        let w = v.world(k);
-        let s = &w.faults.stats;
-        stats.retransmits += s.retransmits;
-        stats.peer_down_events += s.peer_down_events;
-        stats.partitions += s.partitions;
-        stats.probes_sent += s.probes_sent;
-        stats.heals += s.heals;
-        stats.dups_suppressed += s.dups_suppressed;
-        stats.overload_rideouts += s.overload_rideouts;
-        for ls in w.link_fault_stats().values() {
-            flaps += ls.flaps;
-            downs += ls.downs;
-            if ls.lat_count > 0 {
-                lat_min = lat_min.min(ls.lat_min_ns);
-                lat_max = lat_max.max(ls.lat_max_ns);
-                lat_sum += ls.lat_sum_ns;
-                lat_count += ls.lat_count;
-            }
-        }
-        for n in w.nodes.iter() {
+        for n in v.world(k).nodes.iter() {
             if !(n.up && n.mbr.partitioned.is_empty() && n.mbr.probing.is_empty()) {
                 membership_ok = false;
             }
             rtt_samples += n.chans.values().map(|e| e.rtt.samples()).sum::<u64>();
         }
     }
+    let (delivered, done, fifo_ok) = probe.tally();
     RunOutcome {
         trace,
         end_ns: end.as_ns(),
-        delivered: delivered.load(Ordering::Relaxed),
-        done: done.load(Ordering::Relaxed),
-        expected_done,
-        fifo_ok: fifo_ok.load(Ordering::Relaxed),
+        delivered,
+        done,
+        expected_done: 2 * streams.len() as u32,
+        fifo_ok,
         membership_ok,
-        stats,
-        flaps,
-        downs,
+        totals: ShardTotals::of_shards(&v),
         rtt_samples,
-        lat_min_ns: if lat_count == 0 { 0 } else { lat_min },
-        lat_max_ns: lat_max,
-        lat_mean_ns: lat_sum.checked_div(lat_count).unwrap_or(0),
-        lat_count,
     }
 }
 
 /// One campaign cell at one seed: workers 1 and 4, traces compared.
 struct CellResult {
-    name: &'static str,
+    cell: &'static Cell,
     seed: u64,
     msgs: u32,
-    pure_delay: bool,
-    retx_bound: u64,
-    expect_flaps: Option<bool>,
     trace_identical: bool,
     run: RunOutcome,
 }
@@ -396,208 +266,123 @@ struct CellResult {
 impl CellResult {
     /// Every violated oracle, by name. Empty means the cell is clean.
     fn violations(&self) -> Vec<&'static str> {
-        let r = &self.run;
-        let mut v = Vec::new();
-        if !r.fifo_ok {
-            v.push("fifo");
-        }
-        if r.done != r.expected_done {
-            v.push("stuck-process");
-        }
-        if !r.membership_ok {
-            v.push("membership-convergence");
-        }
-        if !self.trace_identical {
-            v.push("worker-determinism");
-        }
-        if self.pure_delay {
-            // A delayed-but-live peer must never be declared down or
-            // partitioned, and the adaptive timers must keep spurious
-            // retransmits within the bootstrap allowance.
-            if r.stats.peer_down_events > 0 || r.stats.partitions > 0 {
-                v.push("false-peer-down");
-            }
-            if r.stats.retransmits > self.retx_bound {
-                v.push("spurious-retransmits");
-            }
-            if r.rtt_samples == 0 {
-                v.push("estimators-never-armed");
-            }
-            if r.lat_count == 0 {
-                v.push("latency-stats-missing");
-            }
-        }
-        match self.expect_flaps {
-            Some(true) if r.flaps == 0 => v.push("damping-never-tripped"),
-            Some(false) if r.flaps > 0 => v.push("damping-tripped-spuriously"),
-            _ => {}
-        }
-        if !self.pure_delay {
+        let (r, f, links) = (&self.run, &self.run.totals.faults, &self.run.totals.links);
+        let (bound, flaps) = (self.cell.retx_bound, self.cell.expect_flaps);
+        let delay = bound.is_some();
+        violations(&[
+            (r.fifo_ok, "fifo"),
+            (r.done == r.expected_done, "stuck-process"),
+            (r.membership_ok, "membership-convergence"),
+            (self.trace_identical, "worker-determinism"),
+            // Pure delay: a delayed-but-live peer must never be declared
+            // down or partitioned, and the adaptive timers must keep
+            // spurious retransmits within the bootstrap allowance.
+            (
+                !delay || f.peer_down_events + f.partitions == 0,
+                "false-peer-down",
+            ),
+            (
+                bound.is_none_or(|b| f.retransmits <= b),
+                "spurious-retransmits",
+            ),
+            (!delay || r.rtt_samples > 0, "estimators-never-armed"),
+            (!delay || links.lat_count > 0, "latency-stats-missing"),
+            (
+                flaps != Some(true) || links.flaps > 0,
+                "damping-never-tripped",
+            ),
+            (
+                flaps != Some(false) || links.flaps == 0,
+                "damping-tripped-spuriously",
+            ),
             // Flap and failover cells must actually churn the timeline
             // (bridged frames model no link churn — DESIGN.md §12 — so the
             // evidence is the recorded downs, the damper, and healed
             // marks, not retransmits), and every transient mark must heal.
-            if r.downs == 0 {
-                v.push("no-churn-exercised");
-            }
-            if r.stats.partitions != r.stats.heals {
-                v.push("unhealed-partition");
-            }
-        }
-        v
+            (delay || links.downs > 0, "no-churn-exercised"),
+            (delay || f.partitions == f.heals, "unhealed-partition"),
+        ])
     }
 }
 
-fn run_cell(cell: &Cell, seed: u64, msgs: u32) -> CellResult {
-    let r1 = run_once(cell, seed, 1, msgs);
-    let r4 = run_once(cell, seed, 4, msgs);
-    let trace_identical = r1.trace == r4.trace
-        && r1.end_ns == r4.end_ns
-        && r1.stats.retransmits == r4.stats.retransmits
-        && r1.flaps == r4.flaps;
+fn run_cell(cell: &'static Cell, seed: u64, msgs: u32) -> CellResult {
+    let sweep = across_workers(
+        &[1, 4],
+        |w| run_once(cell, seed, w, msgs),
+        |r| {
+            let t = &r.totals;
+            (&r.trace, (r.end_ns, t.faults.retransmits, t.links.flaps))
+        },
+    );
     CellResult {
-        name: cell.name,
+        cell,
         seed,
         msgs,
-        pure_delay: cell.pure_delay,
-        retx_bound: cell.retx_bound,
-        expect_flaps: cell.expect_flaps,
-        trace_identical,
-        run: r1,
+        trace_identical: sweep.identical(),
+        run: sweep.runs.into_iter().next().expect("workers 1"),
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The campaign as a `BENCH_gray.json` report.
+fn report(cells: &[CellResult]) -> Report {
+    let workload = obj! {
+        "levels": &LEVELS[..], "endpoints_per_cluster": EPS, "streams": 4u32,
+        "pace_ns": PACE_NS,
+    };
+    let rows = cells.iter().map(|c| {
+        let (r, f, links) = (&c.run, &c.run.totals.faults, &c.run.totals.links);
+        let retx_bound = c.cell.retx_bound.map_or(-1, |b| b as i64);
+        obj! {
+            "cell": c.cell.name, "seed": c.seed, "messages_per_stream": c.msgs, "end_ns": r.end_ns,
+            "delivered": r.delivered, "trace_identical_workers_1_4": c.trace_identical,
+            "violations": c.violations(), "retransmits": f.retransmits, "retx_bound": retx_bound,
+            "peer_down_events": f.peer_down_events, "partitions": f.partitions, "heals": f.heals,
+            "probes_sent": f.probes_sent, "rtt_samples": r.rtt_samples, "flaps": links.flaps,
+            "downs": links.downs, "lat_min_ns": links.lat_min_ns,
+            "lat_mean_ns": links.lat_mean_ns(), "lat_max_ns": links.lat_max_ns,
+            "lat_count": links.lat_count,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
-fn to_json(cells: &[CellResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"gray failures: latency inflation x asymmetry x flap rate x gateway \
-         outage on a [4,2]x2 redundant hierarchy, sharded engine, workers {1,4}\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{ \"levels\": [4, 2], \"endpoints_per_cluster\": {EPS}, \
-         \"streams\": 4, \"pace_ns\": {PACE_NS} }},\n",
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.run;
-        let viol = c
-            .violations()
-            .iter()
-            .map(|v| format!("\"{v}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{ \"cell\": \"{}\", \"seed\": {}, \"messages_per_stream\": {}, \
-             \"end_ns\": {}, \"delivered\": {}, \"trace_identical_workers_1_4\": {}, \
-             \"violations\": [{}], \"retransmits\": {}, \"retx_bound\": {}, \
-             \"peer_down_events\": {}, \"partitions\": {}, \"heals\": {}, \
-             \"probes_sent\": {}, \"rtt_samples\": {}, \"flaps\": {}, \"downs\": {}, \
-             \"lat_min_ns\": {}, \"lat_mean_ns\": {}, \"lat_max_ns\": {}, \
-             \"lat_count\": {} }}{}\n",
-            c.name,
-            c.seed,
-            c.msgs,
-            r.end_ns,
-            r.delivered,
-            c.trace_identical,
-            viol,
-            r.stats.retransmits,
-            if c.retx_bound == u64::MAX {
-                -1i64
-            } else {
-                c.retx_bound as i64
-            },
-            r.stats.peer_down_events,
-            r.stats.partitions,
-            r.stats.heals,
-            r.stats.probes_sent,
-            r.rtt_samples,
-            r.flaps,
-            r.downs,
-            r.lat_min_ns,
-            r.lat_mean_ns,
-            r.lat_max_ns,
-            r.lat_count,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("gray campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
     });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+    Report::new(
+        "gray failures: latency inflation x asymmetry x flap rate x gateway \
+         outage on a [4,2]x2 redundant hierarchy, sharded engine, workers {1,4}",
+    )
+    .field("workload", workload)
+    .rows("cells", rows)
 }
 
 fn print_cell(c: &CellResult) {
-    let r = &c.run;
+    let (r, f, links) = (&c.run, &c.run.totals.faults, &c.run.totals.links);
     println!(
         "{:<20} seed {:#06x}: end {:>8.1} ms, {} delivered, retx {} (bound {}), \
          peer-down {}, partitions/heals {}/{}, probes {}, rtt-samples {}, flaps {}, \
          lat(ns) min/mean/max {}/{}/{} over {} frames, workers-identical={} violations={:?}",
-        c.name,
+        c.cell.name,
         c.seed,
         r.end_ns as f64 / 1e6,
         r.delivered,
-        r.stats.retransmits,
-        if c.retx_bound == u64::MAX {
-            "-".into()
-        } else {
-            c.retx_bound.to_string()
-        },
-        r.stats.peer_down_events,
-        r.stats.partitions,
-        r.stats.heals,
-        r.stats.probes_sent,
+        f.retransmits,
+        c.cell.retx_bound.map_or("-".into(), |b| b.to_string()),
+        f.peer_down_events,
+        f.partitions,
+        f.heals,
+        f.probes_sent,
         r.rtt_samples,
-        r.flaps,
-        r.lat_min_ns,
-        r.lat_mean_ns,
-        r.lat_max_ns,
-        r.lat_count,
+        links.flaps,
+        links.lat_min_ns,
+        links.lat_mean_ns(),
+        links.lat_max_ns,
+        links.lat_count,
         c.trace_identical,
         c.violations(),
     );
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
-        let cells: Vec<CellResult> = with_watchdog(240, || {
-            CELLS.iter().map(|c| run_cell(c, 0x69A1, 12)).collect()
-        });
+    let campaign = Campaign::start();
+    if campaign.smoke {
+        let cells: Vec<CellResult> = Watchdog::new("gray campaign", 240)
+            .run(|| CELLS.iter().map(|c| run_cell(c, 0x69A1, 12)).collect());
         for c in &cells {
             print_cell(c);
         }
@@ -614,9 +399,9 @@ fn main() {
     );
     let cells: Vec<CellResult> = (0..2u64)
         .flat_map(|i| {
-            CELLS
-                .iter()
-                .map(move |c| with_watchdog(600, || run_cell(c, 0x69A1 + i, 24)))
+            CELLS.iter().map(move |c| {
+                Watchdog::new("gray campaign", 600).run(|| run_cell(c, 0x69A1 + i, 24))
+            })
         })
         .collect();
     for c in &cells {
@@ -625,8 +410,5 @@ fn main() {
     let bad: usize = cells.iter().map(|c| c.violations().len()).sum();
     assert_eq!(bad, 0, "{bad} oracle violations across the campaign");
 
-    let root = workspace_root();
-    let path = root.join("BENCH_gray.json");
-    std::fs::write(&path, to_json(&cells)).expect("write BENCH_gray.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_gray.json", &report(&cells));
 }

@@ -24,15 +24,18 @@
 //!   partition_campaign --smoke    # one outage cell under a wall-clock
 //!                                 # watchdog, assert it recovers (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use parking_lot::Mutex;
 use vorx::channel;
-use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
+use vorx::hpcnet::{NodeAddr, Topology};
 use vorx::{VorxBuilder, VorxError};
+use vorx_bench::campaign::{
+    lat_suffix, links_where, nodes_of, seq_of, seq_payload, Cables, Campaign, Fixed, Progress,
+    Report, ShardTotals, Watchdog,
+};
+use vorx_bench::obj;
 use vorx_bench::report::{render, Row};
 
 /// Messages in the stream.
@@ -49,9 +52,9 @@ const CUT_AT_NS: u64 = 10_000_000;
 enum Churn {
     /// Cut the primary-path cable, never heal: the fabric reroutes.
     Reroute,
-    /// Isolate cluster 0 for `heal_delay_ns`; heals before/after the
+    /// Isolate cluster 0 for this many ns; heals before/after the
     /// detection sweep depending on the delay.
-    Isolate { heal_delay_ns: u64 },
+    Isolate(u64),
 }
 
 impl Churn {
@@ -61,8 +64,8 @@ impl Churn {
             // The sweep fires `partition_detect_ns` (250 ms) after the cut:
             // a shorter outage is an undetected blip, a longer one a
             // declared partition.
-            Churn::Isolate { heal_delay_ns } if heal_delay_ns < 250_000_000 => "blip",
-            Churn::Isolate { .. } => "outage",
+            Churn::Isolate(heal_delay_ns) if heal_delay_ns < 250_000_000 => "blip",
+            Churn::Isolate(_) => "outage",
         }
     }
 }
@@ -70,46 +73,6 @@ impl Churn {
 /// The campaign topology.
 fn topo() -> Topology {
     Topology::incomplete_hypercube(4, 2).expect("valid hypercube")
-}
-
-/// Both directed link ids of the cluster cable `a`–`b` (link numbering is a
-/// pure function of the topology).
-fn cable(a: u32, b: u32) -> [u32; 2] {
-    let f = Fabric::new(topo(), NetConfig::paper_1988());
-    [
-        f.cluster_link(ClusterId(a), ClusterId(b)).expect("wired").0,
-        f.cluster_link(ClusterId(b), ClusterId(a)).expect("wired").0,
-    ]
-}
-
-/// First endpoint attached to cluster `c`.
-fn node_in(c: u32) -> NodeAddr {
-    let t = topo();
-    (0..t.n_endpoints() as u32)
-        .map(NodeAddr)
-        .find(|&n| t.cluster_of(n) == ClusterId(c))
-        .expect("cluster populated")
-}
-
-/// 128 B payload carrying its stream index in the first four bytes.
-fn msg_payload(idx: u32) -> Payload {
-    let mut buf = vec![0u8; MSG_LEN];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-/// Recover the stream index from a payload.
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
-/// What the reader observed.
-#[derive(Default)]
-struct Progress {
-    delivered: Vec<u32>,
-    /// Cut-to-first-post-cut-delivery latency.
-    recovery_ns: Option<u64>,
 }
 
 /// One campaign cell's outcome.
@@ -121,25 +84,20 @@ struct CellResult {
     delivered: u32,
     elapsed_ns: u64,
     failed_writes: u32,
-    retransmits: u64,
     frames_rerouted: u64,
     frames_dropped: u64,
-    partitions: u64,
-    heals: u64,
-    probes_sent: u64,
     recovery_ns: Option<u64>,
     leaked_waiters: usize,
+    /// Recovery counters and queue high-water marks.
+    totals: ShardTotals,
     /// Per-link fault counters for every link the timeline touched.
     link_downs: Vec<(u32, desim::LinkStats)>,
-    /// Max port-link occupancy high-water mark (slots).
-    depth_hwm: usize,
-    /// Max per-switch sheddable-byte high-water mark.
-    bytes_hwm: u64,
 }
 
 /// Run one cell: fixed seed, `loss` on every link, one scripted churn.
 fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
-    let (src, dst) = (node_in(0), node_in(3));
+    let (src, dst) = (nodes_of(&topo(), 0)[0], nodes_of(&topo(), 3)[0]);
+    let cables = Cables::new(topo());
     let mut schedule = FaultSchedule::new(seed);
     if loss > 0.0 {
         schedule = schedule.all_links(LinkFaults::loss(loss));
@@ -147,12 +105,12 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
     match churn {
         Churn::Reroute => {
             let first_hop = topo().cluster_path(src, dst)[1].0;
-            for l in cable(0, first_hop) {
+            for l in cables.of(0, first_hop) {
                 schedule = schedule.link_down_at(l, SimTime::from_ns(CUT_AT_NS));
             }
         }
-        Churn::Isolate { heal_delay_ns } => {
-            for cab in [cable(0, 1), cable(0, 2)] {
+        Churn::Isolate(heal_delay_ns) => {
+            for cab in [cables.of(0, 1), cables.of(0, 2)] {
                 for l in cab {
                     schedule = schedule
                         .link_down_at(l, SimTime::from_ns(CUT_AT_NS))
@@ -195,7 +153,7 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
         let mut idx = 0u32;
         while idx < MSGS {
             ctx.sleep(SimDuration::from_ns(PACE_NS));
-            match ch.write(&ctx, msg_payload(idx)) {
+            match ch.write(&ctx, seq_payload(idx, MSG_LEN)) {
                 Ok(()) => idx += 1,
                 Err(VorxError::Partitioned) => {
                     // Typed, bounded-time failure: count it, wait out the
@@ -218,7 +176,7 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
         while expect < MSGS {
             match ch.read(&ctx) {
                 Ok(payload) => {
-                    let i = index_of(&payload);
+                    let i = seq_of(&payload);
                     if i != expect {
                         continue; // app-level duplicate from a write retry
                     }
@@ -244,174 +202,92 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
     let report = v.run();
     let elapsed_ns = report.now.as_ns();
     let leaked_waiters = report.parked.len();
-    let (stats, frames_rerouted, frames_dropped, link_downs, depth_hwm, bytes_hwm) = {
-        let w = v.world();
-        let link_downs: Vec<(u32, desim::LinkStats)> = w
-            .link_fault_stats()
-            .iter()
-            .filter(|(_, s)| s.downs > 0 || s.flaps > 0)
-            .map(|(l, s)| (*l, *s))
-            .collect();
-        (
-            w.faults.stats.clone(),
-            w.net.stats.frames_rerouted,
-            w.net.stats.frames_dropped,
-            link_downs,
-            w.net.max_port_link_depth_hwm(),
-            w.net.max_cluster_data_bytes_hwm(),
-        )
-    };
-
+    let w = v.world();
     let g = progress.lock();
-    let in_order = g
-        .delivered
-        .iter()
-        .enumerate()
-        .all(|(i, &got)| got == i as u32);
-    let delivered = g.delivered.len() as u32;
     let failed_writes = *failed_writes.lock();
     CellResult {
         mode: churn.label(),
         loss,
         seed,
-        completed: delivered == MSGS && in_order && leaked_waiters == 0,
-        delivered,
+        completed: g.complete(MSGS) && leaked_waiters == 0,
+        delivered: g.delivered.len() as u32,
         elapsed_ns,
         failed_writes,
-        retransmits: stats.retransmits,
-        frames_rerouted,
-        frames_dropped,
-        partitions: stats.partitions,
-        heals: stats.heals,
-        probes_sent: stats.probes_sent,
+        frames_rerouted: w.net.stats.frames_rerouted,
+        frames_dropped: w.net.stats.frames_dropped,
         recovery_ns: g.recovery_ns,
         leaked_waiters,
-        link_downs,
-        depth_hwm,
-        bytes_hwm,
+        totals: ShardTotals::of_world(&w),
+        link_downs: links_where(&w, |s| s.downs > 0 || s.flaps > 0),
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
+/// Print a cell's per-link down/flap counters, one indented line per link.
+fn print_link_downs(c: &CellResult) {
+    for (l, s) in &c.link_downs {
+        println!(
+            "  link {l}: downs={} mid-flight drops={} flaps={}{}",
+            s.downs,
+            s.down_drops,
+            s.flaps,
+            lat_suffix(s)
+        );
     }
 }
 
-/// Emit the campaign as hand-rolled JSON (same convention as the other
-/// BENCH_*.json reports: no serde dependency on the output path).
-fn to_json(cells: &[CellResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"partition campaign: cluster-0 writer -> cluster-3 reader on an \
-         incomplete 4-hypercube under link churn\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{ \"messages\": {MSGS}, \"bytes_per_message\": {MSG_LEN}, \
-         \"clusters\": 4, \"endpoints_per_cluster\": 2, \"cut_at_ns\": {CUT_AT_NS} }},\n",
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let recovery = c
-            .recovery_ns
-            .map(|n| n.to_string())
-            .unwrap_or_else(|| "null".into());
-        let links = c
+/// The campaign as a `BENCH_partition.json` report.
+fn report(cells: &[CellResult]) -> Report {
+    let workload = obj! {
+        "messages": MSGS, "bytes_per_message": MSG_LEN, "clusters": 4u32,
+        "endpoints_per_cluster": 2u32,
+        "cut_at_ns": CUT_AT_NS,
+    };
+    let rows = cells.iter().map(|c| {
+        let f = &c.totals.faults;
+        let links: Vec<_> = c
             .link_downs
             .iter()
             .map(|(l, s)| {
-                format!(
-                    "{{ \"link\": {l}, \"downs\": {}, \"down_drops\": {}, \"flaps\": {} }}",
-                    s.downs, s.down_drops, s.flaps
-                )
+                obj! {
+                    "link": *l, "downs": s.downs, "down_drops": s.down_drops, "flaps": s.flaps,
+                }
             })
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{ \"mode\": \"{}\", \"loss\": {:.2}, \"seed\": {}, \"completed\": {}, \
-             \"delivered\": {}, \"elapsed_ns\": {}, \"failed_writes\": {}, \
-             \"retransmits\": {}, \"frames_rerouted\": {}, \"frames_dropped\": {}, \
-             \"partitions\": {}, \"heals\": {}, \"probes_sent\": {}, \
-             \"recovery_latency_ns\": {}, \"leaked_waiters\": {}, \"links_down\": [{}] }}{}\n",
-            c.mode,
-            c.loss,
-            c.seed,
-            c.completed,
-            c.delivered,
-            c.elapsed_ns,
-            c.failed_writes,
-            c.retransmits,
-            c.frames_rerouted,
-            c.frames_dropped,
-            c.partitions,
-            c.heals,
-            c.probes_sent,
-            recovery,
-            c.leaked_waiters,
-            links,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Run `f` with a wall-clock watchdog: if the simulation fails to reach
-/// idle in `secs`, abort loudly instead of hanging CI. This is the
-/// "run-to-idle terminates" gate in executable form.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
+            .collect();
+        obj! {
+            "mode": c.mode, "loss": Fixed(c.loss, 2), "seed": c.seed, "completed": c.completed,
+            "delivered": c.delivered, "elapsed_ns": c.elapsed_ns, "failed_writes": c.failed_writes,
+            "retransmits": f.retransmits, "frames_rerouted": c.frames_rerouted,
+            "frames_dropped": c.frames_dropped, "partitions": f.partitions, "heals": f.heals,
+            "probes_sent": f.probes_sent, "recovery_latency_ns": c.recovery_ns,
+            "leaked_waiters": c.leaked_waiters, "links_down": links,
         }
-        eprintln!("partition campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
     });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+    Report::new(
+        "partition campaign: cluster-0 writer -> cluster-3 reader on an \
+         incomplete 4-hypercube under link churn",
+    )
+    .field("workload", workload)
+    .rows("cells", rows)
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
+    let campaign = Campaign::start();
+    if campaign.smoke {
         // CI gate: a declared partition (heal after the sweep) plus 2%
         // loss, under a wall-clock watchdog. The stream must complete
         // exactly-once in order, with the partition both declared and
         // healed, and nothing left parked.
-        let c = with_watchdog(120, || {
-            run_cell(
-                Churn::Isolate {
-                    heal_delay_ns: 400_000_000,
-                },
-                0.02,
-                // Same seed as the sweep's outage/2%-loss cell.
-                0x9A57 + 5,
-            )
-        });
+        // Same seed as the sweep's outage/2%-loss cell.
+        let outage = || run_cell(Churn::Isolate(400_000_000), 0.02, 0x9A57 + 5);
+        let c = Watchdog::new("partition campaign", 120).run(outage);
         assert!(
             c.completed,
             "smoke: {}/{MSGS} delivered in order",
             c.delivered
         );
-        assert!(c.partitions >= 1, "smoke: the sweep never declared");
-        assert!(c.heals >= 1, "smoke: the heal never cleared");
+        let f = &c.totals.faults;
+        assert!(f.partitions >= 1, "smoke: the sweep never declared");
+        assert!(f.heals >= 1, "smoke: the heal never cleared");
         assert!(c.failed_writes >= 1, "smoke: no typed write failure seen");
         assert_eq!(c.leaked_waiters, 0, "smoke: leaked blocked waiters");
         println!(
@@ -420,41 +296,21 @@ fn main() {
              depth hwm {} slots / {} B",
             c.delivered,
             c.failed_writes,
-            c.partitions,
-            c.heals,
+            f.partitions,
+            f.heals,
             c.recovery_ns.unwrap_or(0) as f64 / 1e6,
-            c.depth_hwm,
-            c.bytes_hwm,
+            c.totals.depth_hwm,
+            c.totals.bytes_hwm,
         );
-        for (l, s) in &c.link_downs {
-            let lat = if s.lat_count > 0 {
-                format!(
-                    " lat(ns) min/mean/max={}/{}/{} over {}",
-                    s.lat_min_ns,
-                    s.lat_mean_ns(),
-                    s.lat_max_ns,
-                    s.lat_count
-                )
-            } else {
-                String::new()
-            };
-            println!(
-                "  link {l}: downs={} mid-flight drops={} flaps={}{lat}",
-                s.downs, s.down_drops, s.flaps
-            );
-        }
+        print_link_downs(&c);
         return;
     }
 
     let mut cells = Vec::new();
     let churns = [
         Churn::Reroute,
-        Churn::Isolate {
-            heal_delay_ns: 100_000_000,
-        },
-        Churn::Isolate {
-            heal_delay_ns: 400_000_000,
-        },
+        Churn::Isolate(100_000_000),
+        Churn::Isolate(400_000_000),
     ];
     for (i, &churn) in churns.iter().enumerate() {
         for (j, &loss) in [0.0, 0.02].iter().enumerate() {
@@ -487,6 +343,7 @@ fn main() {
         )
     );
     for c in &cells {
+        let f = &c.totals.faults;
         println!(
             "{:<8} loss {:>4.2}: completed={} failed_writes={} rerouted={} dropped={} \
              partitions={} heals={} probes={} recovery={} depth_hwm={} bytes_hwm={}",
@@ -496,32 +353,16 @@ fn main() {
             c.failed_writes,
             c.frames_rerouted,
             c.frames_dropped,
-            c.partitions,
-            c.heals,
-            c.probes_sent,
+            f.partitions,
+            f.heals,
+            f.probes_sent,
             c.recovery_ns
                 .map(|n| format!("{:.1}ms", n as f64 / 1e6))
                 .unwrap_or_else(|| "-".into()),
-            c.depth_hwm,
-            c.bytes_hwm,
+            c.totals.depth_hwm,
+            c.totals.bytes_hwm,
         );
-        for (l, s) in &c.link_downs {
-            let lat = if s.lat_count > 0 {
-                format!(
-                    " lat(ns) min/mean/max={}/{}/{} over {}",
-                    s.lat_min_ns,
-                    s.lat_mean_ns(),
-                    s.lat_max_ns,
-                    s.lat_count
-                )
-            } else {
-                String::new()
-            };
-            println!(
-                "  link {l}: downs={} mid-flight drops={} flaps={}{lat}",
-                s.downs, s.down_drops, s.flaps
-            );
-        }
+        print_link_downs(c);
     }
 
     let incomplete = cells.iter().filter(|c| !c.completed).count();
@@ -530,8 +371,5 @@ fn main() {
         "{incomplete} campaign cells failed to recover"
     );
 
-    let root = workspace_root();
-    let path = root.join("BENCH_partition.json");
-    std::fs::write(&path, to_json(&cells)).expect("write BENCH_partition.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_partition.json", &report(&cells));
 }

@@ -35,14 +35,14 @@
 //!                            # under a deadlock watchdog that dumps every
 //!                            # shard's frontier and mailbox depths (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use desim::{affinity, PdesMonitor, PdesStats, WorkerStall};
+use desim::{affinity, PdesMonitor, PdesStats, Trace, WorkerStall};
 use vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
-use vorx::{channel, VCtx, VorxBuilder};
+use vorx::{channel, TraceEvent, VCtx, VorxBuilder};
+use vorx_bench::campaign::{across_workers, Campaign, Fixed, Lines, Report, ShardTotals, Watchdog};
+use vorx_bench::obj;
 use vorx_bench::report::{render, Row};
 
 /// Messages per channel.
@@ -114,26 +114,25 @@ struct Cell {
     pinned: bool,
     /// Wall-clock per repeat, ns.
     wall_ns: Vec<u64>,
-    /// Simulated end time, ns (must agree across every cell of a config).
+    /// Simulated end time, ns (must agree across every sharded cell).
     end_ns: u64,
     /// Frames delivered (must agree across every cell of a config).
     delivered: u64,
-    /// Run segments executed across all shards (sharded cells only).
-    rounds: u64,
-    /// Cross-shard messages through the per-link mailboxes (sharded only).
-    msgs_bridged: u64,
-    /// Frontier advances published without local progress — the
-    /// null-message traffic equivalent (sharded cells only).
-    frontier_bumps: u64,
-    /// Per-worker idle accounting from the last repeat (sharded only).
-    worker_stalls: Vec<WorkerStall>,
-    /// Events dispatched per shard (sharded cells only).
-    events_per_shard: Vec<u64>,
+    /// Engine counters of the first repeat (empty on the sequential
+    /// engine): rounds, bridged messages, frontier bumps (the null-message
+    /// traffic equivalent) and events per shard. With two or more workers,
+    /// rounds and bumps follow host thread interleaving. The per-worker
+    /// stall accounting is host-timing noise and is the last repeat's.
+    stats: PdesStats,
 }
 
-fn median(xs: &mut [u64]) -> u64 {
-    xs.sort_unstable();
-    xs[xs.len() / 2]
+impl Cell {
+    /// Median wall-clock over the repeats, ns.
+    fn median_wall(&self) -> u64 {
+        let mut xs = self.wall_ns.clone();
+        xs.sort_unstable();
+        xs[xs.len() / 2]
+    }
 }
 
 /// A slot the deadlock watchdog inspects on expiry: the active run parks its
@@ -141,36 +140,30 @@ fn median(xs: &mut [u64]) -> u64 {
 /// mailbox depths before the abort.
 type MonitorSlot = Arc<Mutex<Option<PdesMonitor>>>;
 
-/// One wall-clock sample of the sequential engine.
-fn run_sequential_once(clusters: usize, epc: usize) -> (u64, u64, u64) {
-    let topo = Topology::incomplete_hypercube(clusters, epc).expect("valid hypercube");
-    let mut v = VorxBuilder::with_topology(topo.clone())
-        .seed(SEED)
-        .trace(false)
-        .build();
-    spawn_workload(&topo, |_, name, f| {
-        v.spawn(name, f);
-    });
-    let t0 = Instant::now();
-    let end = v.run_all();
-    let wall = t0.elapsed().as_nanos() as u64;
-    let delivered = v.world().net.stats.frames_delivered;
-    (wall, end.as_ns(), delivered)
-}
-
-/// One wall-clock sample of the sharded engine.
-fn run_sharded_once(
-    clusters: usize,
-    epc: usize,
+/// One wall-clock sample: `(wall_ns, end_ns, delivered, stats)`. Zero
+/// `workers` runs the sequential engine.
+fn run_once(
+    (clusters, epc): (usize, usize),
     workers: usize,
     pin: bool,
     slot: &MonitorSlot,
 ) -> (u64, u64, u64, PdesStats) {
     let topo = Topology::incomplete_hypercube(clusters, epc).expect("valid hypercube");
-    let mut v = VorxBuilder::with_topology(topo.clone())
+    let builder = VorxBuilder::with_topology(topo.clone())
         .seed(SEED)
-        .trace(false)
-        .build_sharded(workers);
+        .trace(false);
+    if workers == 0 {
+        let mut v = builder.build();
+        spawn_workload(&topo, |_, name, f| {
+            v.spawn(name, f);
+        });
+        let t0 = Instant::now();
+        let end = v.run_all();
+        let wall = t0.elapsed().as_nanos() as u64;
+        let delivered = v.world().net.stats.frames_delivered;
+        return (wall, end.as_ns(), delivered, PdesStats::default());
+    }
+    let mut v = builder.build_sharded(workers);
     v.pin_workers(pin);
     spawn_workload(&topo, |node, name, f| {
         v.spawn_at(node, name, f);
@@ -186,41 +179,26 @@ fn run_sharded_once(
 
 /// Run a cell `REPEATS` times; keep per-repeat wall clocks and the (stable)
 /// simulated outcome.
-fn run_cell(clusters: usize, epc: usize, workers: usize, slot: &MonitorSlot) -> Cell {
+fn run_cell(config: (usize, usize), workers: usize, slot: &MonitorSlot) -> Cell {
     // Pinning only helps when each worker can own a distinct CPU.
     let pin = workers > 1 && affinity::effective_parallelism() >= workers;
     let mut cell = Cell {
         workers,
-        pinned: pin && workers > 0,
+        pinned: pin,
         wall_ns: Vec::new(),
         end_ns: 0,
         delivered: 0,
-        rounds: 0,
-        msgs_bridged: 0,
-        frontier_bumps: 0,
-        worker_stalls: Vec::new(),
-        events_per_shard: Vec::new(),
+        stats: PdesStats::default(),
     };
     for rep in 0..REPEATS {
-        if workers == 0 {
-            let (wall, end, delivered) = run_sequential_once(clusters, epc);
-            cell.wall_ns.push(wall);
-            cell.end_ns = end;
-            cell.delivered = delivered;
-        } else {
-            let (wall, end, delivered, stats) = run_sharded_once(clusters, epc, workers, pin, slot);
-            cell.wall_ns.push(wall);
-            cell.end_ns = end;
-            cell.delivered = delivered;
-            if rep == 0 {
-                cell.rounds = stats.rounds;
-                cell.msgs_bridged = stats.msgs_bridged;
-                cell.frontier_bumps = stats.frontier_bumps;
-                cell.events_per_shard = stats.events_per_shard.clone();
-            }
-            // Stall accounting is host-timing noise; keep the last repeat.
-            cell.worker_stalls = stats.worker_stalls.clone();
+        let (wall, end, delivered, stats) = run_once(config, workers, pin, slot);
+        cell.wall_ns.push(wall);
+        (cell.end_ns, cell.delivered) = (end, delivered);
+        let stalls = stats.worker_stalls.clone();
+        if rep == 0 {
+            cell.stats = stats;
         }
+        cell.stats.worker_stalls = stalls;
     }
     cell
 }
@@ -239,12 +217,8 @@ struct ConfigResult {
 impl ConfigResult {
     /// Median wall-clock of the cell with this worker count (0 = sequential).
     fn med(&self, workers: usize) -> u64 {
-        let c = self
-            .cells
-            .iter()
-            .find(|c| c.workers == workers)
-            .expect("swept cell");
-        median(&mut c.wall_ns.clone())
+        let cell = self.cells.iter().find(|c| c.workers == workers);
+        cell.expect("swept cell").median_wall()
     }
 }
 
@@ -254,10 +228,11 @@ fn run_config(clusters: usize, epc: usize, slot: &MonitorSlot) -> ConfigResult {
     let min_lookahead_ns = Fabric::new(topo, NetConfig::paper_1988())
         .lookahead_ns()
         .unwrap_or(0);
-    let mut cells = vec![run_cell(clusters, epc, 0, slot)];
-    for workers in WORKER_SWEEP {
-        cells.push(run_cell(clusters, epc, workers, slot));
-    }
+    let cells: Vec<Cell> = [0]
+        .into_iter()
+        .chain(WORKER_SWEEP)
+        .map(|workers| run_cell((clusters, epc), workers, slot))
+        .collect();
     // Worker count must be semantically invisible: every sharded cell
     // reports the same simulated outcome. (The sequential engine is the
     // wall-clock baseline only — its cross-cluster frames ride the full
@@ -285,136 +260,79 @@ fn run_config(clusters: usize, epc: usize, slot: &MonitorSlot) -> ConfigResult {
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Emit the campaign as hand-rolled JSON (same convention as the other
-/// BENCH_*.json reports: no serde dependency on the output path).
-fn to_json(host_cpus: usize, configs: &[ConfigResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"PDES campaign: asynchronous conservative sharded engine \
-         (earliest-input-time sync, per-link lookahead) vs the sequential engine on \
-         cross-cluster channel workloads; wall-clock parallel speedup requires parallel \
-         host hardware (host_cpus = effective CPU affinity mask)\",\n",
-    );
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!(
-        "  \"workload\": {{ \"msgs_per_channel\": {MSGS}, \"bytes_per_message\": {MSG_BYTES}, \
-         \"fanout_clusters\": {FANOUT}, \"repeats\": {REPEATS}, \"seed\": {SEED} }},\n",
-    ));
-    out.push_str("  \"configs\": [\n");
-    for (i, cfg) in configs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"nodes\": {}, \"clusters\": {}, \"endpoints_per_cluster\": {}, \
-             \"min_lookahead_ns\": {}, \"sim_end_ns_sequential\": {}, \"sim_end_ns_sharded\": {}, \
-             \"frames_delivered\": {},\n",
-            cfg.nodes,
-            cfg.clusters,
-            cfg.epc,
-            cfg.min_lookahead_ns,
-            cfg.cells[0].end_ns,
-            cfg.cells[1].end_ns,
-            cfg.cells[0].delivered,
-        ));
-        out.push_str("      \"cells\": [\n");
-        for (j, c) in cfg.cells.iter().enumerate() {
-            let walls = c
-                .wall_ns
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let events = c
-                .events_per_shard
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ");
-            let stalls = c
+/// The campaign as a `BENCH_pdes.json` report.
+fn report(configs: &[ConfigResult]) -> Report {
+    let config_rows = configs.iter().map(|cfg| {
+        let cells = cfg.cells.iter().map(|c| {
+            let stalls: Vec<_> = c
+                .stats
                 .worker_stalls
                 .iter()
                 .map(|s| {
-                    format!(
-                        "{{ \"spin_ns\": {}, \"yield_ns\": {}, \"stalls\": {}, \
-                         \"yields\": {} }}",
-                        s.spin_ns, s.yield_ns, s.stalls, s.yields
-                    )
+                    obj! {
+                        "spin_ns": s.spin_ns, "yield_ns": s.yield_ns, "stalls": s.stalls,
+                        "yields": s.yields,
+                    }
                 })
-                .collect::<Vec<_>>()
-                .join(", ");
-            let engine = if c.workers == 0 {
-                "sequential".to_string()
-            } else {
-                format!("sharded-{}w", c.workers)
+                .collect();
+            let engine = match c.workers {
+                0 => "sequential".to_string(),
+                w => format!("sharded-{w}w"),
             };
-            out.push_str(&format!(
-                "        {{ \"engine\": \"{engine}\", \"workers\": {}, \"pinned\": {}, \
-                 \"median_wall_ns\": {}, \"wall_ns\": [{walls}], \"rounds\": {}, \
-                 \"msgs_bridged\": {}, \"frontier_bumps\": {}, \
-                 \"worker_stalls\": [{stalls}], \
-                 \"events_per_shard\": [{events}] }}{}\n",
-                c.workers,
-                c.pinned,
-                median(&mut c.wall_ns.clone()),
-                c.rounds,
-                c.msgs_bridged,
-                c.frontier_bumps,
-                if j + 1 == cfg.cells.len() { "" } else { "," },
-            ));
+            obj! {
+                "engine": engine, "workers": c.workers, "pinned": c.pinned,
+                "median_wall_ns": c.median_wall(), "wall_ns": &c.wall_ns,
+                "rounds": c.stats.rounds, "msgs_bridged": c.stats.msgs_bridged,
+                "frontier_bumps": c.stats.frontier_bumps, "worker_stalls": stalls,
+                "events_per_shard": &c.stats.events_per_shard,
+            }
+        });
+        let speedup = |a: usize, b: usize| Fixed(cfg.med(a) as f64 / cfg.med(b) as f64, 3);
+        obj! {
+            "nodes": cfg.nodes, "clusters": cfg.clusters, "endpoints_per_cluster": cfg.epc,
+            "min_lookahead_ns": cfg.min_lookahead_ns, "sim_end_ns_sequential": cfg.cells[0].end_ns,
+            "sim_end_ns_sharded": cfg.cells[1].end_ns, "frames_delivered": cfg.cells[0].delivered,
         }
-        out.push_str("      ],\n");
-        out.push_str(&format!(
-            "      \"speedup_4w_vs_sequential\": {:.3}, \"speedup_4w_vs_1w\": {:.3}, \
-             \"speedup_8w_vs_1w\": {:.3} }}{}\n",
-            cfg.med(0) as f64 / cfg.med(4) as f64,
-            cfg.med(1) as f64 / cfg.med(4) as f64,
-            cfg.med(1) as f64 / cfg.med(8) as f64,
-            if i + 1 == configs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        .br(6)
+        .field("cells", Lines::rows(8, cells))
+        .br(6)
+        .field("speedup_4w_vs_sequential", speedup(0, 4))
+        .field("speedup_4w_vs_1w", speedup(1, 4))
+        .field("speedup_8w_vs_1w", speedup(1, 8))
+    });
+    let workload = obj! {
+        "msgs_per_channel": MSGS, "bytes_per_message": MSG_BYTES, "fanout_clusters": FANOUT,
+        "repeats": REPEATS,
+        "seed": SEED,
+    };
+    Report::new(
+        "PDES campaign: asynchronous conservative sharded engine \
+         (earliest-input-time sync, per-link lookahead) vs the sequential engine on \
+         cross-cluster channel workloads; wall-clock parallel speedup requires parallel \
+         host hardware (host_cpus = effective CPU affinity mask)",
+    )
+    .field("workload", workload)
+    .rows("configs", config_rows)
 }
 
-/// Run `f` with a wall-clock watchdog: if the campaign fails to finish in
-/// `secs`, dump the active engine's frontiers and mailbox depths (the
-/// conservative-sync equivalent of a deadlock backtrace) and abort loudly
-/// instead of hanging CI.
-fn with_watchdog<T>(secs: u64, slot: &MonitorSlot, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    let watch = Arc::clone(slot);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("pdes campaign: watchdog expired after {secs}s — a run failed to reach idle");
-        if let Some(m) = watch.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
-            eprintln!("engine state at expiry:\n{}", m.dump());
-        }
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+/// A watchdog that, on expiry, dumps the frontiers and mailbox depths of
+/// the engine parked in `slot` (the conservative-sync equivalent of a
+/// deadlock backtrace).
+fn watchdog(secs: u64, slot: &MonitorSlot) -> Watchdog {
+    let slot = Arc::clone(slot);
+    Watchdog::new("pdes campaign", secs).dump(move || {
+        let m = slot.lock().unwrap_or_else(|e| e.into_inner());
+        m.as_ref().map(PdesMonitor::dump)
+    })
+}
+
+/// One traced smoke run.
+struct SmokeRun {
+    trace: Trace<TraceEvent>,
+    end_ns: u64,
+    delivered: u64,
+    stats: PdesStats,
+    depth_hwm: usize,
 }
 
 /// Smoke mode: the small config with tracing ON, workers {1, 4, 8} — the
@@ -432,43 +350,38 @@ fn smoke() {
             v.spawn_at(node, name, f);
         });
         *slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(v.monitor());
-        let end = v.run_all();
+        let end_ns = v.run_all().as_ns();
         *slot.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        let delivered = v.sum_over_shards(|w| w.net.stats.frames_delivered);
-        let depth_hwm = (0..v.n_shards())
-            .map(|k| v.world(k).net.max_port_link_depth_hwm())
-            .max()
-            .unwrap_or(0);
-        let stats = v.stats().clone();
-        (v.merged_trace().to_json(), end, delivered, stats, depth_hwm)
+        SmokeRun {
+            delivered: v.sum_over_shards(|w| w.net.stats.frames_delivered),
+            depth_hwm: ShardTotals::of_shards(&v).depth_hwm,
+            stats: v.stats().clone(),
+            trace: v.merged_trace(),
+            end_ns,
+        }
     };
-    let ((t1, e1, d1, s1, h1), (t4, e4, d4, s4, h4), (t8, e8, d8, _s8, _h8)) =
-        with_watchdog(120, &slot, || (run(1), run(4), run(8)));
-    assert_eq!(h1, h4, "smoke: queue-depth high-water marks diverged");
-    assert_eq!(e1, e4, "smoke: end times diverged at 1 vs 4 workers");
-    assert_eq!(e1, e8, "smoke: end times diverged at 1 vs 8 workers");
-    assert_eq!(d1, d4, "smoke: deliveries diverged at 1 vs 4 workers");
-    assert_eq!(d1, d8, "smoke: deliveries diverged at 1 vs 8 workers");
-    assert_eq!(t1, t4, "smoke: traces diverged at 1 vs 4 workers");
-    assert_eq!(t1, t8, "smoke: traces diverged at 1 vs 8 workers");
+    let sweep = watchdog(120, &slot).run(|| {
+        across_workers(&[1, 4, 8], run, |r| {
+            (&r.trace, (r.end_ns, r.delivered, r.depth_hwm))
+        })
+    });
+    if let Some(m) = &sweep.mismatch {
+        panic!("smoke: {m} (traces, end times, deliveries, queue-depth hwms)");
+    }
+    let [r1, r4, _] = &sweep.runs[..] else {
+        unreachable!("three worker counts")
+    };
+    let (d1, s1, h1, s4) = (r1.delivered, &r1.stats, r1.depth_hwm, &r4.stats);
     assert!(d1 > 0, "smoke: nothing delivered");
     assert!(s1.msgs_bridged > 0, "smoke: no cross-shard traffic");
     assert!(
         s1.events_per_shard.iter().all(|&e| e > 0),
         "smoke: idle shard"
     );
-    let spin_ms: f64 = s4
-        .worker_stalls
-        .iter()
-        .map(|s| s.spin_ns as f64)
-        .sum::<f64>()
-        / 1e6;
-    let yield_ms: f64 = s4
-        .worker_stalls
-        .iter()
-        .map(|s| s.yield_ns as f64)
-        .sum::<f64>()
-        / 1e6;
+    let ms = |f: fn(&WorkerStall) -> u64| {
+        s4.worker_stalls.iter().map(|s| f(s) as f64).sum::<f64>() / 1e6
+    };
+    let (spin_ms, yield_ms) = (ms(|s| s.spin_ns), ms(|s| s.yield_ns));
     println!(
         "pdes-campaign smoke OK: {clusters}x{epc} nodes, {} frames delivered, \
          {} rounds, {} bridged, {} frontier bumps, depth hwm {} slots, trace \
@@ -480,13 +393,14 @@ fn smoke() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--smoke") {
+    let campaign = Campaign::start();
+    if campaign.smoke {
         smoke();
         return;
     }
     let host_cpus = affinity::effective_parallelism();
     let slot: MonitorSlot = Arc::default();
-    let configs: Vec<ConfigResult> = with_watchdog(540, &slot, || {
+    let configs: Vec<ConfigResult> = watchdog(540, &slot).run(|| {
         CONFIGS
             .iter()
             .map(|&(c, e)| run_config(c, e, &slot))
@@ -497,7 +411,7 @@ fn main() {
     for cfg in &configs {
         let seq_med = cfg.med(0);
         for c in &cfg.cells {
-            let med = median(&mut c.wall_ns.clone());
+            let med = c.median_wall();
             let label = if c.workers == 0 {
                 format!("{:>2} nodes sequential", cfg.nodes)
             } else {
@@ -524,6 +438,7 @@ fn main() {
     for cfg in &configs {
         for c in cfg.cells.iter().filter(|c| c.workers > 0) {
             let idle_ms: f64 = c
+                .stats
                 .worker_stalls
                 .iter()
                 .map(|s| (s.spin_ns + s.yield_ns) as f64)
@@ -535,19 +450,16 @@ fn main() {
                 cfg.nodes,
                 c.workers,
                 if c.pinned { " (pinned)" } else { "" },
-                c.rounds,
-                c.msgs_bridged,
-                c.frontier_bumps,
+                c.stats.rounds,
+                c.stats.msgs_bridged,
+                c.stats.frontier_bumps,
                 idle_ms,
-                c.events_per_shard,
+                c.stats.events_per_shard,
             );
         }
     }
 
-    let root = workspace_root();
-    let path = root.join("BENCH_pdes.json");
-    std::fs::write(&path, to_json(host_cpus, &configs)).expect("write BENCH_pdes.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_pdes.json", &report(&configs));
 
     // The ≥2× gate on the 70-node cell: the sharded engine at 4 workers
     // against the sequential engine it replaces. The bridged data path wins

@@ -30,16 +30,15 @@
 //!   scale_campaign            # full sweep {1k, 10k, 100k, 1M} + JSON
 //!   scale_campaign --smoke    # 10k only, under a wall-clock watchdog (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use desim::{FaultSchedule, SimDuration, SimTime};
-use vorx::hpcnet::{
-    Attachment, ClusterId, Fabric, NetConfig, NodeAddr, PortRef, Topology, PORTS_PER_CLUSTER,
-};
-use vorx::{accounting, Calibration, VCtx, VorxBuilder, VorxShardedSim};
+use desim::{FaultSchedule, SimDuration, SimTime, Trace};
+use vorx::hpcnet::{Attachment, ClusterId, NodeAddr, PortRef, Topology, PORTS_PER_CLUSTER};
+use vorx::{accounting, Calibration, TraceEvent, VCtx, VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{across_workers, Cables, Campaign, Fixed, Report, Watchdog};
+use vorx_bench::obj;
 use vorx_bench::workload::StreamingWorkload;
 
 /// Shard count, fixed across every scale point and worker count: the shard
@@ -61,29 +60,17 @@ struct ScaleCfg {
 }
 
 const SCALES: [ScaleCfg; 4] = [
-    ScaleCfg {
-        name: "1k",
-        levels: &[8, 16],
-        eps: 8,
-    },
-    ScaleCfg {
-        name: "10k",
-        levels: &[8, 16, 10],
-        eps: 8,
-    },
-    ScaleCfg {
-        name: "100k",
-        levels: &[64, 20, 20],
-        eps: 4,
-    },
-    ScaleCfg {
-        name: "1M",
-        levels: &[64, 64, 62],
-        eps: 4,
-    },
+    ScaleCfg::new("1k", &[8, 16], 8),
+    ScaleCfg::new("10k", &[8, 16, 10], 8),
+    ScaleCfg::new("100k", &[64, 20, 20], 4),
+    ScaleCfg::new("1M", &[64, 64, 62], 4),
 ];
 
 impl ScaleCfg {
+    const fn new(name: &'static str, levels: &'static [usize], eps: usize) -> Self {
+        ScaleCfg { name, levels, eps }
+    }
+
     fn topo(&self) -> Topology {
         Topology::hierarchical_hypercube(self.levels, self.eps).expect("valid hierarchy")
     }
@@ -114,15 +101,6 @@ fn neighbor_of(t: &Topology, c: ClusterId) -> ClusterId {
     panic!("cluster {} has no cluster links", c.0);
 }
 
-/// Both directed link ids of the cable `a`–`b`, plus the clusters, from a
-/// throwaway probe fabric (link ids are a function of the topology alone).
-fn cable(f: &Fabric, a: ClusterId, b: ClusterId) -> [u32; 2] {
-    [
-        f.cluster_link(a, b).expect("wired").0,
-        f.cluster_link(b, a).expect("wired").0,
-    ]
-}
-
 /// The churn script: two cluster cables flap, in different groups, timed so
 /// the overlay exists while streams are in flight. Pure function of the
 /// topology, identical for every worker count.
@@ -134,18 +112,18 @@ struct Churn {
 }
 
 fn churn(t: &Topology) -> Churn {
-    let probe = Fabric::new(t.clone(), NetConfig::paper_1988());
+    let probe = Cables::new(t.clone());
     let a0 = ClusterId(0);
     let a1 = neighbor_of(t, a0);
     let b0 = ClusterId(t.n_clusters() as u32 - 1);
     let b1 = neighbor_of(t, b0);
     let mut s = FaultSchedule::new(SEED);
-    for l in cable(&probe, a0, a1) {
+    for l in probe.of(a0.0, a1.0) {
         s = s
             .link_down_at(l, SimTime::from_ns(FLAP_A_NS.0))
             .link_up_at(l, SimTime::from_ns(FLAP_A_NS.1));
     }
-    for l in cable(&probe, b0, b1) {
+    for l in probe.of(b0.0, b1.0) {
         s = s
             .link_down_at(l, SimTime::from_ns(FLAP_B_NS.0))
             .link_up_at(l, SimTime::from_ns(FLAP_B_NS.1));
@@ -158,7 +136,7 @@ fn churn(t: &Topology) -> Churn {
 
 /// Everything one `(scale, workers)` run produced.
 struct RunOutcome {
-    trace: String,
+    trace: Trace<TraceEvent>,
     end_ns: u64,
     wall_s: f64,
     events: u64,
@@ -175,7 +153,7 @@ struct RunOutcome {
 fn run_once(cfg: &ScaleCfg, workers: usize, ch: &Churn) -> RunOutcome {
     let t = cfg.topo();
     let n = t.n_endpoints() as u32;
-    let v: VorxShardedSim = VorxBuilder::with_topology(t)
+    let mut v: VorxShardedSim = VorxBuilder::with_topology(t)
         .seed(SEED)
         .shards(SHARDS)
         // The partition-detection sweep is O(endpoints²) per link death;
@@ -187,7 +165,6 @@ fn run_once(cfg: &ScaleCfg, workers: usize, ch: &Churn) -> RunOutcome {
         })
         .faults(ch.schedule.clone())
         .build_sharded(workers);
-    let mut v = v;
 
     let delivered = Arc::new(AtomicU64::new(0));
     cfg.workload().install(&v, n, &delivered);
@@ -207,7 +184,7 @@ fn run_once(cfg: &ScaleCfg, workers: usize, ch: &Churn) -> RunOutcome {
     let wall = Instant::now();
     let end = v.run_all();
     let wall_s = wall.elapsed().as_secs_f64();
-    let trace = v.merged_trace().to_json();
+    let trace = v.merged_trace();
     let events: u64 = v.stats().events_per_shard.iter().sum();
 
     let (mut bpe, mut mem_max, mut idle, mut overlay_final, mut rerouted) = (0, 0, 0usize, 0, 0);
@@ -247,8 +224,8 @@ struct CellResult {
     clusters: usize,
     trace_identical: bool,
     run1: RunOutcome,
-    run4_wall_s: f64,
-    run4_events: u64,
+    /// Engine activities per host second at workers 1 and 4.
+    events_per_sec: [f64; 2],
 }
 
 fn run_cell(cfg: &ScaleCfg) -> CellResult {
@@ -256,8 +233,11 @@ fn run_cell(cfg: &ScaleCfg) -> CellResult {
     let (n, clusters) = (t.n_endpoints() as u32, t.n_clusters());
     let ch = churn(&t);
     drop(t);
-    let r1 = run_once(cfg, 1, &ch);
-    let r4 = run_once(cfg, 4, &ch);
+    let sweep = across_workers(&[1, 4], |w| run_once(cfg, w, &ch), |r| (&r.trace, r.end_ns));
+    let trace_identical = sweep.identical();
+    let eps = |r: &RunOutcome| r.events as f64 / r.wall_s.max(1e-9);
+    let events_per_sec = [eps(&sweep.runs[0]), eps(&sweep.runs[1])];
+    let r1 = sweep.runs.into_iter().next().expect("workers 1");
     let expected = cfg.workload().expected_messages();
     assert_eq!(r1.delivered, expected, "{}: lost messages", cfg.name);
     assert_eq!(
@@ -274,10 +254,9 @@ fn run_cell(cfg: &ScaleCfg) -> CellResult {
         name: cfg.name,
         endpoints: n,
         clusters,
-        trace_identical: r1.trace == r4.trace && r1.end_ns == r4.end_ns,
+        trace_identical,
+        events_per_sec,
         run1: r1,
-        run4_wall_s: r4.wall_s,
-        run4_events: r4.events,
     }
 }
 
@@ -316,86 +295,32 @@ fn recompute_speedup(cfg: &ScaleCfg) -> (u64, u64, f64) {
     (overlay_ns, dense_ns, dense_ns as f64 / overlay_ns as f64)
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The campaign as a `BENCH_scale.json` report.
+fn report(cells: &[CellResult], speedup: &(u64, u64, f64)) -> Report {
+    let recompute = obj! {
+        "overlay_ns": speedup.0, "dense_bfs_ns": speedup.1, "speedup": Fixed(speedup.2, 0),
+    };
+    let rows = cells.iter().map(|c| {
+        let r = &c.run1;
+        let [w1, w4] = c.events_per_sec.map(|e| Fixed(e, 0));
+        obj! {
+            "scale": c.name, "endpoints": c.endpoints, "clusters": c.clusters, "shards": SHARDS,
+            "end_ns": r.end_ns, "delivered": r.delivered,
+            "trace_identical_workers_1_4": c.trace_identical, "events": r.events,
+            "events_per_sec_w1": w1, "events_per_sec_w4": w4,
+            "bytes_per_endpoint": r.bytes_per_endpoint, "mem_max_node_bytes": r.mem_max_node,
+            "idle_nodes": r.idle_nodes, "overlay_mid_flap": r.overlay_mid_flap,
+            "overlay_final": r.overlay_final, "frames_rerouted": r.rerouted,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
-fn to_json(host_cpus: usize, cells: &[CellResult], speedup: &(u64, u64, f64)) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"scale campaign: hierarchical worlds 1k..1M endpoints, sharded engine \
+    });
+    Report::new(
+        "scale campaign: hierarchical worlds 1k..1M endpoints, sharded engine \
          (8 shards), streaming workload, two cable flaps, workers {1,4}; events/sec figures \
          are wall-clock and only comparable on similar host hardware (host_cpus = effective \
-         CPU affinity mask)\",\n",
-    );
-    out.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
-    out.push_str(&format!(
-        "  \"recompute_100k\": {{ \"overlay_ns\": {}, \"dense_bfs_ns\": {}, \
-         \"speedup\": {:.0} }},\n",
-        speedup.0, speedup.1, speedup.2
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.run1;
-        out.push_str(&format!(
-            "    {{ \"scale\": \"{}\", \"endpoints\": {}, \"clusters\": {}, \"shards\": {}, \
-             \"end_ns\": {}, \"delivered\": {}, \"trace_identical_workers_1_4\": {}, \
-             \"events\": {}, \"events_per_sec_w1\": {:.0}, \"events_per_sec_w4\": {:.0}, \
-             \"bytes_per_endpoint\": {}, \"mem_max_node_bytes\": {}, \"idle_nodes\": {}, \
-             \"overlay_mid_flap\": {}, \"overlay_final\": {}, \"frames_rerouted\": {} }}{}\n",
-            c.name,
-            c.endpoints,
-            c.clusters,
-            SHARDS,
-            r.end_ns,
-            r.delivered,
-            c.trace_identical,
-            r.events,
-            r.events as f64 / r.wall_s.max(1e-9),
-            c.run4_events as f64 / c.run4_wall_s.max(1e-9),
-            r.bytes_per_endpoint,
-            r.mem_max_node,
-            r.idle_nodes,
-            r.overlay_mid_flap,
-            r.overlay_final,
-            r.rerouted,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("scale campaign: watchdog expired after {secs}s — the run hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+         CPU affinity mask)",
+    )
+    .field("recompute_100k", recompute)
+    .rows("cells", rows)
 }
 
 fn print_cell(c: &CellResult) {
@@ -410,8 +335,8 @@ fn print_cell(c: &CellResult) {
         r.end_ns as f64 / 1e6,
         r.delivered,
         r.events,
-        r.events as f64 / r.wall_s.max(1e-9),
-        c.run4_events as f64 / c.run4_wall_s.max(1e-9),
+        c.events_per_sec[0],
+        c.events_per_sec[1],
         r.bytes_per_endpoint,
         r.idle_nodes,
         r.overlay_mid_flap,
@@ -423,12 +348,13 @@ fn print_cell(c: &CellResult) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
+    let campaign = Campaign::start();
+    if campaign.smoke {
         // The 10k point: big enough that an O(endpoints) sweep anywhere on
         // the hot path would blow the watchdog, small enough for CI.
         let cfg = &SCALES[1];
-        let (cell, sp) = with_watchdog(300, || (run_cell(cfg), recompute_speedup(cfg)));
+        let (cell, sp) =
+            Watchdog::new("scale campaign", 300).run(|| (run_cell(cfg), recompute_speedup(cfg)));
         print_cell(&cell);
         println!(
             "recompute after churn: overlay {} ns vs dense BFS {} ns ({:.0}x)",
@@ -449,7 +375,7 @@ fn main() {
 
     let mut cells = Vec::new();
     for cfg in &SCALES {
-        cells.push(with_watchdog(3600, || run_cell(cfg)));
+        cells.push(Watchdog::new("scale campaign", 3600).run(|| run_cell(cfg)));
         print_cell(cells.last().expect("just pushed"));
     }
     // The headline acceptance number: implicit recompute vs dense BFS at
@@ -467,9 +393,5 @@ fn main() {
     let bad: usize = cells.iter().filter(|c| !c.trace_identical).count();
     assert_eq!(bad, 0, "{bad} scale points broke worker determinism");
 
-    let host_cpus = desim::affinity::effective_parallelism();
-    let root = workspace_root();
-    let path = root.join("BENCH_scale.json");
-    std::fs::write(&path, to_json(host_cpus, &cells, &sp)).expect("write BENCH_scale.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_scale.json", &report(&cells, &sp));
 }

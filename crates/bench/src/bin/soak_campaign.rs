@@ -40,13 +40,16 @@
 //!   soak_campaign            # 3-seed sweep + BENCH_soak.json
 //!   soak_campaign --smoke    # one seed under a wall-clock watchdog (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
-use vorx::hpcnet::{ClusterId, Fabric, LinkId, NetConfig, NodeAddr, Payload, Topology};
-use vorx::{accounting, channel, objmgr, FaultStats, VCtx, VorxBuilder, VorxShardedSim, World};
+use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime, Trace};
+use vorx::hpcnet::{ClusterId, LinkId, NetConfig, NodeAddr, Payload, Topology};
+use vorx::{accounting, channel, objmgr, TraceEvent, VCtx, VorxBuilder, VorxShardedSim, World};
+use vorx_bench::campaign::{
+    across_workers, nodes_of, violations, Cables, Campaign, Report, ShardTotals, Streams, Watchdog,
+};
+use vorx_bench::obj;
 
 /// Clusters in the campaign machine.
 const CLUSTERS: u32 = 4;
@@ -70,37 +73,9 @@ fn topo() -> Topology {
     Topology::incomplete_hypercube(CLUSTERS as usize, PER_CLUSTER as usize).expect("valid machine")
 }
 
-/// Endpoints of cluster `c`, in address order.
-fn nodes_of(t: &Topology, c: u32) -> Vec<NodeAddr> {
-    t.endpoints()
-        .filter(|&n| t.cluster_of(n) == ClusterId(c))
-        .collect()
-}
-
-/// Both directed link ids of the cluster cable `a`–`b`.
-fn cable(a: u32, b: u32) -> [u32; 2] {
-    let f = Fabric::new(topo(), NetConfig::paper_1988());
-    [
-        f.cluster_link(ClusterId(a), ClusterId(b)).expect("wired").0,
-        f.cluster_link(ClusterId(b), ClusterId(a)).expect("wired").0,
-    ]
-}
-
-/// Payload carrying its stream index, `amp`× the base length.
-fn msg_payload(idx: u32, amp: u32) -> Payload {
-    let mut buf = vec![0u8; (BASE_LEN * amp.max(1)) as usize];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
 /// Everything one `(seed, workers)` run produced, oracles pre-evaluated.
 struct RunOutcome {
-    trace: String,
+    trace: Trace<TraceEvent>,
     end_ns: u64,
     delivered: u32,
     done: u32,
@@ -112,18 +87,13 @@ struct RunOutcome {
     membership_ok: bool,
     replicas_ok: bool,
     accountant_ok: bool,
-    max_port_depth_hwm: usize,
     max_bytes_hwm: u64,
     frames_shed: u64,
-    shed_links: usize,
-    stats: FaultStats,
+    /// Fault counters, link flaps and latencies, depth hwm over shards.
+    totals: ShardTotals,
     mem_max: u64,
     mem_total: u64,
     mem_idle: usize,
-    flaps: u64,
-    lat_min_ns: u64,
-    lat_mean_ns: u64,
-    lat_max_ns: u64,
 }
 
 /// The fault script: every class layered on one seeded schedule. All of it
@@ -156,7 +126,7 @@ fn soak_schedule(seed: u64, t: &Topology) -> FaultSchedule {
             2,
         );
     // A cluster-cable flap rides along.
-    for l in cable(0, 1) {
+    for l in Cables::new(t.clone()).of(0, 1) {
         s = s
             .link_down_at(l, SimTime::from_ns(10_000_000))
             .link_up_at(l, SimTime::from_ns(25_000_000));
@@ -171,20 +141,12 @@ struct ShardSnap {
     servers: Vec<(u32, Vec<(String, u32)>)>,
     membership_ok: bool,
     depth_ok: bool,
-    max_port_depth: usize,
     bytes_hwm: u64,
     bytes_now: u64,
     mem_max: u64,
     mem_total: u64,
     mem_idle: usize,
-    stats: FaultStats,
     frames_shed: u64,
-    shed_links: usize,
-    flaps: u64,
-    lat_min_ns: u64,
-    lat_max_ns: u64,
-    lat_sum_ns: u64,
-    lat_count: u64,
 }
 
 fn snapshot_shard(w: &World, t: &Topology, shard: usize) -> ShardSnap {
@@ -193,30 +155,13 @@ fn snapshot_shard(w: &World, t: &Topology, shard: usize) -> ShardSnap {
         servers: Vec::new(),
         membership_ok: true,
         depth_ok: true,
-        max_port_depth: w.net.max_port_link_depth_hwm(),
         bytes_hwm: w.net.cluster_data_bytes_hwm(ClusterId(shard as u32)),
         bytes_now: w.net.cluster_data_bytes(ClusterId(shard as u32)),
         mem_max: 0,
         mem_total: 0,
         mem_idle: 0,
-        stats: w.faults.stats.clone(),
         frames_shed: w.net.stats.frames_shed,
-        shed_links: w.link_fault_stats().values().filter(|s| s.shed > 0).count(),
-        flaps: w.link_fault_stats().values().map(|s| s.flaps).sum(),
-        lat_min_ns: u64::MAX,
-        lat_max_ns: 0,
-        lat_sum_ns: 0,
-        lat_count: 0,
     };
-    // Delivered-latency profile over every link this shard recorded.
-    for ls in w.link_fault_stats().values() {
-        if ls.lat_count > 0 {
-            snap.lat_min_ns = snap.lat_min_ns.min(ls.lat_min_ns);
-            snap.lat_max_ns = snap.lat_max_ns.max(ls.lat_max_ns);
-            snap.lat_sum_ns += ls.lat_sum_ns;
-            snap.lat_count += ls.lat_count;
-        }
-    }
     // Hardware flow control must hold on every port link; endpoint rx
     // links are exempt (the documented cross-shard bridge simplification).
     for l in 0..w.net.n_links() {
@@ -298,59 +243,32 @@ fn run_once(seed: u64, workers: usize, msgs: u32) -> RunOutcome {
         .faults(soak_schedule(seed, &t))
         .build_sharded(workers);
 
-    let done = Arc::new(AtomicU32::new(0));
-    let fifo_ok = Arc::new(AtomicBool::new(true));
-    let delivered = Arc::new(AtomicU32::new(0));
     // One paced writer/reader pair per stream; the reader is the online
     // FIFO oracle — it checks every delivery for exactly-once order the
     // moment it lands.
-    let mut streams: Vec<(NodeAddr, NodeAddr, String)> = Vec::new();
+    let probe = Streams::default();
     for c in 0..CLUSTERS {
         let here = nodes_of(&t, c);
         let next = nodes_of(&t, (c + 1) % CLUSTERS);
         // Intra-cluster: rides through its own switch, so the squeezes on
         // clusters 0 and 2 shed it; recovery is retransmission.
-        streams.push((here[0], here[1], format!("soak.i{c}")));
         // Cross-cluster: exercises the shard bridge under the same churn.
-        streams.push((here[2], next[2], format!("soak.x{c}")));
-    }
-    for (wn, rn, name) in streams {
-        let rname = name.clone();
-        let (f_ok, del, d1, d2) = (
-            Arc::clone(&fifo_ok),
-            Arc::clone(&delivered),
-            Arc::clone(&done),
-            Arc::clone(&done),
-        );
-        v.spawn_at(wn, format!("n{}:w:{name}", wn.0), move |ctx: VCtx| {
-            let ch = channel::open(&ctx, wn, &name);
-            for i in 0..msgs {
-                ctx.sleep(SimDuration::from_ns(PACE_NS));
-                // Offered load amplifies inside burst windows —
-                // deterministically, from sim time alone.
+        for (w, r, kind) in [(here[0], here[1], "i"), (here[2], next[2], "x")] {
+            // Offered load amplifies inside burst windows —
+            // deterministically, from sim time alone.
+            let len = |ctx: &VCtx| {
                 let amp = ctx.with(|w, s| w.faults.schedule.amplification(s.now().as_ns()));
-                ch.write(&ctx, msg_payload(i, amp)).expect("writer failed");
-            }
-            d1.fetch_add(1, Ordering::Relaxed);
-        });
-        v.spawn_at(rn, format!("n{}:r:{rname}", rn.0), move |ctx: VCtx| {
-            let ch = channel::open(&ctx, rn, &rname);
-            for expect in 0..msgs {
-                let i = index_of(&ch.read(&ctx).expect("reader failed"));
-                if i != expect {
-                    f_ok.store(false, Ordering::Relaxed);
-                }
-                del.fetch_add(1, Ordering::Relaxed);
-            }
-            d2.fetch_add(1, Ordering::Relaxed);
-        });
+                (BASE_LEN * amp.max(1)) as usize
+            };
+            probe.spawn(&v, (w, r, &format!("soak.{kind}{c}")), msgs, PACE_NS, len);
+        }
     }
     // Listener/client rendezvous: server registrations flow through the
     // distributed manager and its successor replica (oracle 6), and the
     // connections ride the bounded listener backlog.
     let srv = nodes_of(&t, 1)[3];
     let cli = nodes_of(&t, 3)[3];
-    let (del, d) = (Arc::clone(&delivered), Arc::clone(&done));
+    let (del, d) = (Arc::clone(&probe.delivered), Arc::clone(&probe.done));
     v.spawn_at(srv, format!("n{}:server", srv.0), move |ctx: VCtx| {
         let lst = channel::listen(&ctx, srv, "soak.srv");
         for _ in 0..2 {
@@ -361,7 +279,7 @@ fn run_once(seed: u64, workers: usize, msgs: u32) -> RunOutcome {
         d.fetch_add(1, Ordering::Relaxed);
     });
     for k in 0..2u32 {
-        let d = Arc::clone(&done);
+        let d = Arc::clone(&probe.done);
         v.spawn_at(cli, format!("n{}:client{k}", cli.0), move |ctx: VCtx| {
             // Let the listener register before the first client open.
             ctx.sleep(SimDuration::from_ns(1_000_000 * u64::from(k + 1)));
@@ -374,45 +292,25 @@ fn run_once(seed: u64, workers: usize, msgs: u32) -> RunOutcome {
     let expected_done = 8 * 2 + 1 + 2;
 
     let end = v.run_all();
-    let trace = v.merged_trace().to_json();
+    let (delivered, done, fifo_ok) = probe.tally();
+    let trace = v.merged_trace();
 
     let snaps: Vec<ShardSnap> = (0..v.n_shards())
         .map(|k| snapshot_shard(&v.world(k), &t, k))
         .collect();
-    let mut stats = FaultStats::default();
     let (mut depth_ok, mut bytes_ok, mut drained, mut membership_ok) = (true, true, true, true);
-    let (mut max_depth, mut max_bytes, mut shed, mut shed_links) = (0usize, 0u64, 0u64, 0usize);
+    let (mut max_bytes, mut shed) = (0u64, 0u64);
     let (mut mem_max, mut mem_total, mut mem_idle) = (0u64, 0u64, 0usize);
-    let mut flaps = 0u64;
-    let (mut lat_min, mut lat_max, mut lat_sum, mut lat_count) = (u64::MAX, 0u64, 0u64, 0u64);
     for s in &snaps {
-        flaps += s.flaps;
-        if s.lat_count > 0 {
-            lat_min = lat_min.min(s.lat_min_ns);
-            lat_max = lat_max.max(s.lat_max_ns);
-            lat_sum += s.lat_sum_ns;
-            lat_count += s.lat_count;
-        }
         depth_ok &= s.depth_ok;
         bytes_ok &= s.bytes_hwm <= BYTE_BUDGET;
         drained &= s.bytes_now == 0;
         membership_ok &= s.membership_ok;
-        max_depth = max_depth.max(s.max_port_depth);
         max_bytes = max_bytes.max(s.bytes_hwm);
         shed += s.frames_shed;
-        shed_links += s.shed_links;
         mem_max = mem_max.max(s.mem_max);
         mem_total += s.mem_total;
         mem_idle += s.mem_idle;
-        stats.retransmits += s.stats.retransmits;
-        stats.corrupted_rx += s.stats.corrupted_rx;
-        stats.crashes += s.stats.crashes;
-        stats.restarts += s.stats.restarts;
-        stats.heals += s.stats.heals;
-        stats.busy_sent += s.stats.busy_sent;
-        stats.overload_rideouts += s.stats.overload_rideouts;
-        stats.table_rejects += s.stats.table_rejects;
-        stats.peer_down_events += s.stats.peer_down_events;
     }
     let n_nodes = u64::from(CLUSTERS) * u64::from(PER_CLUSTER);
     // The two crash/restart spares plus all-idle bystanders must leave at
@@ -421,28 +319,22 @@ fn run_once(seed: u64, workers: usize, msgs: u32) -> RunOutcome {
     RunOutcome {
         trace,
         end_ns: end.as_ns(),
-        delivered: delivered.load(Ordering::Relaxed),
-        done: done.load(Ordering::Relaxed),
+        delivered,
+        done,
         expected_done,
-        fifo_ok: fifo_ok.load(Ordering::Relaxed),
+        fifo_ok,
         depth_ok,
         bytes_ok,
         drained,
         membership_ok,
         replicas_ok: replicas_consistent(&snaps, n_nodes),
         accountant_ok,
-        max_port_depth_hwm: max_depth,
         max_bytes_hwm: max_bytes,
         frames_shed: shed,
-        shed_links,
-        stats,
+        totals: ShardTotals::of_shards(&v),
         mem_max,
         mem_total,
         mem_idle,
-        flaps,
-        lat_min_ns: if lat_count == 0 { 0 } else { lat_min },
-        lat_mean_ns: lat_sum.checked_div(lat_count).unwrap_or(0),
-        lat_max_ns: lat_max,
     }
 }
 
@@ -458,155 +350,72 @@ impl CellResult {
     /// Every violated oracle, by name. Empty means the cell is clean.
     fn violations(&self) -> Vec<&'static str> {
         let r = &self.run;
-        let mut v = Vec::new();
-        if !r.fifo_ok {
-            v.push("fifo");
-        }
-        if r.done != r.expected_done {
-            v.push("stuck-process");
-        }
-        if !r.depth_ok {
-            v.push("link-depth-cap");
-        }
-        if !r.bytes_ok {
-            v.push("byte-budget");
-        }
-        if !r.drained {
-            v.push("undrained-switch");
-        }
-        if !r.membership_ok {
-            v.push("membership-convergence");
-        }
-        if !r.replicas_ok {
-            v.push("replica-consistency");
-        }
-        if !r.accountant_ok {
-            v.push("idle-memory-baseline");
-        }
-        if !self.trace_identical {
-            v.push("worker-determinism");
-        }
-        if r.frames_shed == 0 {
-            v.push("no-shedding-exercised");
-        }
-        if r.stats.retransmits == 0 {
-            v.push("no-recovery-exercised");
-        }
-        v
+        violations(&[
+            (r.fifo_ok, "fifo"),
+            (r.done == r.expected_done, "stuck-process"),
+            (r.depth_ok, "link-depth-cap"),
+            (r.bytes_ok, "byte-budget"),
+            (r.drained, "undrained-switch"),
+            (r.membership_ok, "membership-convergence"),
+            (r.replicas_ok, "replica-consistency"),
+            (r.accountant_ok, "idle-memory-baseline"),
+            (self.trace_identical, "worker-determinism"),
+            (r.frames_shed > 0, "no-shedding-exercised"),
+            (r.totals.faults.retransmits > 0, "no-recovery-exercised"),
+        ])
     }
 }
 
 fn run_cell(seed: u64, msgs: u32) -> CellResult {
-    let r1 = run_once(seed, 1, msgs);
-    let r4 = run_once(seed, 4, msgs);
-    let trace_identical = r1.trace == r4.trace
-        && r1.end_ns == r4.end_ns
-        && r1.frames_shed == r4.frames_shed
-        && r1.stats.retransmits == r4.stats.retransmits;
+    let sweep = across_workers(
+        &[1, 4],
+        |w| run_once(seed, w, msgs),
+        |r| {
+            let retransmits = r.totals.faults.retransmits;
+            (&r.trace, (r.end_ns, r.frames_shed, retransmits))
+        },
+    );
     CellResult {
         seed,
         msgs,
-        trace_identical,
-        run: r1,
+        trace_identical: sweep.identical(),
+        run: sweep.runs.into_iter().next().expect("workers 1"),
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
+/// The campaign as a `BENCH_soak.json` report.
+fn report(cells: &[CellResult]) -> Report {
+    let workload = obj! {
+        "clusters": CLUSTERS, "endpoints_per_cluster": PER_CLUSTER, "streams": 8u32,
+        "byte_budget": BYTE_BUDGET, "base_len": BASE_LEN,
+        "squeeze_ns": &[SQUEEZE_NS.0, SQUEEZE_NS.1][..],
+        "burst_ns": &[BURST_NS.0, BURST_NS.1][..],
+    };
+    let rows = cells.iter().map(|c| {
+        let (r, f) = (&c.run, &c.run.totals.faults);
+        obj! {
+            "seed": c.seed, "messages_per_stream": c.msgs, "end_ns": r.end_ns,
+            "delivered": r.delivered, "trace_identical_workers_1_4": c.trace_identical,
+            "violations": c.violations(), "frames_shed": r.frames_shed,
+            "shed_links": r.totals.shed_links, "retransmits": f.retransmits,
+            "corrupted_rx": f.corrupted_rx, "crashes": f.crashes, "restarts": f.restarts,
+            "busy_sent": f.busy_sent, "overload_rideouts": f.overload_rideouts,
+            "table_rejects": f.table_rejects, "peer_down_events": f.peer_down_events,
+            "max_port_depth_hwm": r.totals.depth_hwm, "max_switch_bytes_hwm": r.max_bytes_hwm,
+            "mem_max_node_bytes": r.mem_max, "mem_total_bytes": r.mem_total,
+            "mem_idle_nodes": r.mem_idle,
         }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
-/// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
-fn to_json(cells: &[CellResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"note\": \"chaos soak: loss x corrupt x crash x flap x overload on a 4x4 \
-         incomplete hypercube, sharded engine, workers {1,4}\",\n",
-    );
-    out.push_str(&format!(
-        "  \"workload\": {{ \"clusters\": {CLUSTERS}, \"endpoints_per_cluster\": {PER_CLUSTER}, \
-         \"streams\": 8, \"byte_budget\": {BYTE_BUDGET}, \"base_len\": {BASE_LEN}, \
-         \"squeeze_ns\": [{}, {}], \"burst_ns\": [{}, {}] }},\n",
-        SQUEEZE_NS.0, SQUEEZE_NS.1, BURST_NS.0, BURST_NS.1,
-    ));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        let r = &c.run;
-        let viol = c
-            .violations()
-            .iter()
-            .map(|v| format!("\"{v}\""))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{ \"seed\": {}, \"messages_per_stream\": {}, \"end_ns\": {}, \
-             \"delivered\": {}, \"trace_identical_workers_1_4\": {}, \"violations\": [{}], \
-             \"frames_shed\": {}, \"shed_links\": {}, \"retransmits\": {}, \
-             \"corrupted_rx\": {}, \"crashes\": {}, \"restarts\": {}, \"busy_sent\": {}, \
-             \"overload_rideouts\": {}, \"table_rejects\": {}, \"peer_down_events\": {}, \
-             \"max_port_depth_hwm\": {}, \"max_switch_bytes_hwm\": {}, \
-             \"mem_max_node_bytes\": {}, \"mem_total_bytes\": {}, \"mem_idle_nodes\": {} }}{}\n",
-            c.seed,
-            c.msgs,
-            r.end_ns,
-            r.delivered,
-            c.trace_identical,
-            viol,
-            r.frames_shed,
-            r.shed_links,
-            r.stats.retransmits,
-            r.stats.corrupted_rx,
-            r.stats.crashes,
-            r.stats.restarts,
-            r.stats.busy_sent,
-            r.stats.overload_rideouts,
-            r.stats.table_rejects,
-            r.stats.peer_down_events,
-            r.max_port_depth_hwm,
-            r.max_bytes_hwm,
-            r.mem_max,
-            r.mem_total,
-            r.mem_idle,
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("soak campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
     });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+    Report::new(
+        "chaos soak: loss x corrupt x crash x flap x overload on a 4x4 \
+         incomplete hypercube, sharded engine, workers {1,4}",
+    )
+    .field("workload", workload)
+    .rows("cells", rows)
 }
 
 fn print_cell(c: &CellResult) {
-    let r = &c.run;
-    let viol = c.violations();
+    let (r, f, links) = (&c.run, &c.run.totals.faults, &c.run.totals.links);
     println!(
         "seed {:#06x}: end {:>6.1} ms, {} delivered, shed {} on {} links, retx {}, \
          corrupt {}, crash/restart {}/{}, rideouts {}, flaps {}, \
@@ -616,29 +425,29 @@ fn print_cell(c: &CellResult) {
         r.end_ns as f64 / 1e6,
         r.delivered,
         r.frames_shed,
-        r.shed_links,
-        r.stats.retransmits,
-        r.stats.corrupted_rx,
-        r.stats.crashes,
-        r.stats.restarts,
-        r.stats.overload_rideouts,
-        r.flaps,
-        r.lat_min_ns,
-        r.lat_mean_ns,
-        r.lat_max_ns,
-        r.max_port_depth_hwm,
+        r.totals.shed_links,
+        f.retransmits,
+        f.corrupted_rx,
+        f.crashes,
+        f.restarts,
+        f.overload_rideouts,
+        links.flaps,
+        links.lat_min_ns,
+        links.lat_mean_ns(),
+        links.lat_max_ns,
+        r.totals.depth_hwm,
         r.max_bytes_hwm,
         r.mem_max,
         r.mem_idle,
         c.trace_identical,
-        viol,
+        c.violations(),
     );
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if smoke {
-        let cell = with_watchdog(180, || run_cell(0x50AC, 20));
+    let campaign = Campaign::start();
+    if campaign.smoke {
+        let cell = Watchdog::new("soak campaign", 180).run(|| run_cell(0x50AC, 20));
         print_cell(&cell);
         let viol = cell.violations();
         assert!(viol.is_empty(), "smoke: oracle violations {viol:?}");
@@ -647,7 +456,7 @@ fn main() {
     }
 
     let cells: Vec<CellResult> = (0..3)
-        .map(|i| with_watchdog(600, || run_cell(0x50AC + i, 48)))
+        .map(|i| Watchdog::new("soak campaign", 600).run(|| run_cell(0x50AC + i, 48)))
         .collect();
     println!(
         "chaos soak: 8 streams x 48 msgs, loss 2% corrupt 1%, squeeze {}..{} ms, \
@@ -661,8 +470,5 @@ fn main() {
     let bad: usize = cells.iter().map(|c| c.violations().len()).sum();
     assert_eq!(bad, 0, "{bad} oracle violations across the campaign");
 
-    let root = workspace_root();
-    let path = root.join("BENCH_soak.json");
-    std::fs::write(&path, to_json(&cells)).expect("write BENCH_soak.json");
-    println!("wrote {}", path.display());
+    campaign.write("BENCH_soak.json", &report(&cells));
 }

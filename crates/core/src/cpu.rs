@@ -67,7 +67,7 @@ impl Serialize for BlockReason {
 }
 
 /// Events recorded into the world trace for the tools.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// The CPU of `node` was busy on `cat` during `[start_ns, end_ns)`.
     Cpu {

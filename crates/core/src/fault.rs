@@ -65,6 +65,44 @@ pub struct FaultStats {
     pub coll_retries: u64,
 }
 
+/// Sum another world's counters into these (per-shard totals). The
+/// destructuring is exhaustive, so a new counter must be folded here before
+/// the crate compiles again.
+impl std::ops::AddAssign<&FaultStats> for FaultStats {
+    fn add_assign(&mut self, other: &FaultStats) {
+        let FaultStats {
+            retransmits,
+            dups_suppressed,
+            corrupted_rx,
+            busy_sent,
+            peer_down_events,
+            crashes,
+            restarts,
+            probes_sent,
+            partitions,
+            heals,
+            mgr_failovers,
+            overload_rideouts,
+            table_rejects,
+            coll_retries,
+        } = *other;
+        self.retransmits += retransmits;
+        self.dups_suppressed += dups_suppressed;
+        self.corrupted_rx += corrupted_rx;
+        self.busy_sent += busy_sent;
+        self.peer_down_events += peer_down_events;
+        self.crashes += crashes;
+        self.restarts += restarts;
+        self.probes_sent += probes_sent;
+        self.partitions += partitions;
+        self.heals += heals;
+        self.mgr_failovers += mgr_failovers;
+        self.overload_rideouts += overload_rideouts;
+        self.table_rejects += table_rejects;
+        self.coll_retries += coll_retries;
+    }
+}
+
 /// The fault plane as the world sees it: the seeded schedule plus the
 /// recovery statistics. Implements [`hpcnet::FaultHook`] so the fabric
 /// consults the schedule (and its private RNG streams) on every hop.

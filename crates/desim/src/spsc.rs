@@ -9,10 +9,9 @@
 //! with no mutex, no condvar, and no spinning, which is what lets shards
 //! exchange messages while both sides keep executing.
 //!
-//! The vendored `crossbeam` stand-in implements its channel as a
-//! mutex+condvar ring (see `vendor/README.md`); it is deliberately *not*
-//! used here — a blocking mailbox at every link would reintroduce the
-//! barrier this engine exists to remove.
+//! A blocking channel (a mutex+condvar ring) is deliberately *not* used
+//! here: a blocking mailbox at every link would reintroduce the barrier
+//! this engine exists to remove.
 
 use std::marker::PhantomData;
 use std::ptr;

@@ -10,8 +10,9 @@ use serde::Serialize;
 
 use crate::time::SimTime;
 
-/// An append-only, time-ordered event log.
-#[derive(Debug, Clone)]
+/// An append-only, time-ordered event log. Two traces are equal when they
+/// hold the same events and the same recording state.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace<E> {
     events: Vec<(SimTime, E)>,
     enabled: bool,

@@ -3,34 +3,18 @@
 //! payload-byte copies (copymeter) and no heap churn proportional to
 //! payload size × fan-out (counting allocator).
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
+
 use std::sync::Mutex;
 
+use common::allocated;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 
-/// Global allocator wrapper counting every byte handed out.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Both the allocator counter and the copymeter are process-global; the
-/// tests in this binary serialize on this lock so their deltas don't mix.
-static METER_LOCK: Mutex<()> = Mutex::new(());
+/// The copymeter is process-global (it also counts copies made on
+/// simulation threads), so the tests that move payload bytes serialize on
+/// this lock. The allocation meter is per-thread and needs no lock.
+static COPYMETER_LOCK: Mutex<()> = Mutex::new(());
 
 /// Multicast a `len`-byte frame (`len` <= the 1024-byte HPC frame limit)
 /// from node 0 to three nodes on another cluster and return (bytes
@@ -48,10 +32,10 @@ fn fan_out(len: usize) -> (u64, Vec<Frame>) {
         payload,
         corrupted: false,
     };
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = allocated();
     net.send_at(0, frame);
     net.run();
-    let churn = ALLOCATED.load(Ordering::Relaxed) - before;
+    let churn = allocated() - before;
     let delivered: Vec<Frame> = net.delivered.into_iter().map(|(_, _, f)| f).collect();
     (churn, delivered)
 }
@@ -61,7 +45,7 @@ fn fan_out(len: usize) -> (u64, Vec<Frame>) {
 /// payload aliases the original allocation.
 #[test]
 fn multicast_fan_out_shares_payload_bytes() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     copymeter::reset();
     let (_, delivered) = fan_out(1024);
     assert_eq!(delivered.len(), 3);
@@ -85,7 +69,7 @@ fn multicast_fan_out_shares_payload_bytes() {
 /// never payload-sized buffers.
 #[test]
 fn forwarding_churn_is_payload_size_independent() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // Warm up allocator pools and lazy statics so the two measured runs see
     // identical bookkeeping behavior.
     let _ = fan_out(16);
