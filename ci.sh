@@ -19,6 +19,19 @@ VORX_SIM_WORKERS=8 cargo test --workspace -q
 echo "==> perfbench tests (benchmark generators, oracles, metric names)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench fingerprints (every workload at seeds 1 and 2: the simulated model is unchanged)"
+for w in paper_channels fabric_flood sharded_streams; do
+    for seed in 1 2; do
+        model=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$w" --seed "$seed" --seconds 1 --trace 0 | grep '^{"model"')
+        echo "$model"
+        case "$model" in
+            *'"recorded":"match"'*) ;;
+            *) echo "perfbench: $w seed $seed does not match perfbench/fingerprints.txt" >&2; exit 1 ;;
+        esac
+    done
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -10,7 +10,7 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use crate::fabric::{Fabric, FaultHook, NetEvent, Notify, Output};
+use crate::fabric::{Fabric, FaultHook, LinkId, NetEvent, Notify, Output};
 use crate::frame::{Frame, NodeAddr};
 
 /// Cap on each endpoint's busy-transmitter retry queue. Software that keeps
@@ -23,6 +23,7 @@ enum Action {
     Net(NetEvent),
     Inject(Frame),
     Crash(NodeAddr),
+    SetLink(LinkId, bool),
 }
 
 struct Entry {
@@ -103,6 +104,12 @@ impl StandaloneNet {
     /// Current time, ns.
     pub fn now(&self) -> u64 {
         self.now
+    }
+
+    /// Schedule directed link `l` to go down (`down`) or come back up at
+    /// time `t`; see [`Fabric::set_link_down`].
+    pub fn set_link_down_at(&mut self, t: u64, l: LinkId, down: bool) {
+        self.push(t, Action::SetLink(l, down));
     }
 
     /// Schedule a crash of `node` at time `t`: the endpoint goes down in the
@@ -194,6 +201,7 @@ impl StandaloneNet {
                     }
                     self.fabric.set_endpoint_down(self.now, node, true)
                 }
+                Action::SetLink(l, down) => self.fabric.set_link_down(self.now, l, down),
             };
             self.process(out);
         }

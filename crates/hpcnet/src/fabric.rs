@@ -44,6 +44,14 @@ impl fmt::Debug for LinkId {
     }
 }
 
+/// Head-port mask bit: some target of the head frame has no surviving
+/// route from the receiving cluster. Bits `0..PORTS_PER_CLUSTER` are the
+/// output ports themselves.
+const MASK_UNROUTABLE: u32 = 1 << PORTS_PER_CLUSTER;
+/// Head-port mask value: the link's head changed since the mask was last
+/// computed. No real mask sets the top bit.
+const MASK_STALE: u32 = u32::MAX;
+
 /// One side of a directed link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Element {
@@ -286,6 +294,13 @@ pub struct Fabric {
     /// Clusters with `cluster_buffered > 0`, sorted ascending — the only
     /// clusters the forwarding scan visits.
     active_clusters: Vec<u32>,
+    /// Per-link head-port mask, read only for links ending at a cluster
+    /// port: the output ports the head frame's remaining targets route
+    /// through at that cluster (plus [`MASK_UNROUTABLE`]), 0 for an empty
+    /// link, or [`MASK_STALE`] until recomputed after the head changed.
+    /// `progress` checks only ports some head wants, and `forward_one`
+    /// only inputs whose head wants the port (DESIGN.md §14).
+    head_masks: Vec<u32>,
     /// Reusable scan snapshot (progress mutates the candidate sets while
     /// iterating them).
     scan_scratch: Vec<u32>,
@@ -471,6 +486,7 @@ impl Fabric {
             pending_eps: Vec::new(),
             cluster_buffered: vec![0; n_clusters],
             active_clusters: Vec::new(),
+            head_masks: vec![0; n_links],
             scan_scratch: Vec::new(),
             fwd_scratch: Vec::new(),
             path_scratch: Vec::new(),
@@ -583,6 +599,14 @@ impl Fabric {
         if let (Element::Port(p), Element::Port(_)) = (self.links[i].from, self.links[i].to) {
             self.topo.set_edge_state(p, !down);
             self.topo.recompute();
+            // New routes: every buffered head may want other ports now.
+            // Empty inputs keep their 0 mask, so only active clusters'
+            // inputs need it.
+            for &c in &self.active_clusters {
+                for &input in &self.cluster_inputs[c as usize] {
+                    self.head_masks[input.0 as usize] = MASK_STALE;
+                }
+            }
         }
         // Either direction of change can unblock forwarding: a reroute opens
         // new paths, a heal reopens the link itself.
@@ -762,7 +786,7 @@ impl Fabric {
         }
         self.links[l.0 as usize].buf.push_back(frame);
         if let Element::Port(p) = to {
-            self.note_cluster_buffered(p.cluster);
+            self.note_cluster_buffered(p.cluster, l);
         }
         self.note_link_depth(l);
         if let Element::Endpoint(a) = to {
@@ -1222,7 +1246,7 @@ impl Fabric {
             // combining at gateway levels falls out of this re-entry.
             Some(l) => {
                 self.links[l.0 as usize].buf.push_back(frame);
-                self.note_cluster_buffered(cluster);
+                self.note_cluster_buffered(cluster, l);
                 self.note_link_depth(l);
                 self.progress(out);
             }
@@ -1244,9 +1268,12 @@ impl Fabric {
         }
     }
 
-    /// Start every transmission that can start, repeating until quiescent.
-    /// A frame was buffered at one of `cluster`'s input ports.
-    fn note_cluster_buffered(&mut self, cluster: ClusterId) {
+    /// A frame was buffered at `cluster`'s input `l`. If it is the input's
+    /// new head, the head-port mask is stale.
+    fn note_cluster_buffered(&mut self, cluster: ClusterId, l: LinkId) {
+        if self.links[l.0 as usize].buf.len() == 1 {
+            self.head_masks[l.0 as usize] = MASK_STALE;
+        }
         let c = cluster.0 as usize;
         self.cluster_buffered[c] += 1;
         if self.cluster_buffered[c] == 1 {
@@ -1254,8 +1281,9 @@ impl Fabric {
         }
     }
 
-    /// A frame left one of `cluster`'s input-port buffers.
-    fn note_cluster_drained(&mut self, cluster: ClusterId) {
+    /// The head frame left `cluster`'s input `l`: the mask is stale.
+    fn note_cluster_drained(&mut self, cluster: ClusterId, l: LinkId) {
+        self.head_masks[l.0 as usize] = MASK_STALE;
         let c = cluster.0 as usize;
         debug_assert!(self.cluster_buffered[c] > 0);
         self.cluster_buffered[c] -= 1;
@@ -1264,6 +1292,56 @@ impl Fabric {
         }
     }
 
+    /// The head-port mask of `cluster`'s input `l`, walking the head frame
+    /// only if it changed since the last walk. Debug builds check every
+    /// cached mask against a fresh walk.
+    fn head_mask(&mut self, cluster: ClusterId, l: LinkId) -> u32 {
+        let cached = self.head_masks[l.0 as usize];
+        if cached != MASK_STALE {
+            debug_assert_eq!(
+                cached,
+                self.walk_head_mask(cluster, l),
+                "stale head-port mask on {l:?}"
+            );
+            return cached;
+        }
+        let mask = self.walk_head_mask(cluster, l);
+        self.head_masks[l.0 as usize] = mask;
+        mask
+    }
+
+    /// Route every remaining target of `l`'s head frame at `cluster`.
+    fn walk_head_mask(&self, cluster: ClusterId, l: LinkId) -> u32 {
+        let Some(head) = self.links[l.0 as usize].buf.front() else {
+            return 0;
+        };
+        head.dst.targets().iter().fold(0, |mask, &t| {
+            mask | match self.topo.route(cluster, t) {
+                u8::MAX => MASK_UNROUTABLE,
+                port => 1 << port,
+            }
+        })
+    }
+
+    /// The output ports some head buffered at `cluster` routes through.
+    fn port_demand(&mut self, cluster: ClusterId) -> u32 {
+        let c = cluster.0 as usize;
+        let mut demand = 0;
+        for k in 0..self.cluster_inputs[c].len() {
+            demand |= self.head_mask(cluster, self.cluster_inputs[c][k]);
+        }
+        demand & !MASK_UNROUTABLE
+    }
+
+    /// Start every transmission that can start, repeating until quiescent.
+    ///
+    /// Scan order, which fixes every trace: each pass offers endpoint
+    /// injections in ascending endpoint order, then the output ports of
+    /// each active cluster, clusters ascending and ports ascending within a
+    /// cluster; passes repeat to a fixpoint. The head-port masks skip only
+    /// port and input checks that would find no head for the port. Those
+    /// change no state (`rr` moves only on a hit), so the `start_tx`
+    /// sequence is the one a full clusters × ports × inputs rescan makes.
     fn progress(&mut self, out: &mut Output) {
         loop {
             let mut changed = false;
@@ -1302,13 +1380,18 @@ impl Fabric {
 
             // Cluster forwarding, one output port at a time, fair
             // round-robin over that cluster's inputs. Only clusters with
-            // buffered frames can forward anything.
+            // buffered frames can forward anything, and only through ports
+            // some head wants.
             scan.clear();
             scan.extend_from_slice(&self.active_clusters);
             for &ci in &scan {
-                let c = ci as usize;
+                let cluster = ClusterId(ci);
+                let mut demand = self.port_demand(cluster);
                 for port in 0..PORTS_PER_CLUSTER {
-                    let Some(out_link) = self.port_out[c][port] else {
+                    if demand & (1 << port) == 0 {
+                        continue;
+                    }
+                    let Some(out_link) = self.port_out[ci as usize][port] else {
                         continue;
                     };
                     if self.link_down[out_link.0 as usize]
@@ -1317,8 +1400,10 @@ impl Fabric {
                     {
                         continue;
                     }
-                    if self.forward_one(ClusterId(ci), port as u8, out_link, out) {
+                    if self.forward_one(cluster, port as u8, out_link, out) {
                         changed = true;
+                        // One input has a new head (or none).
+                        demand = self.port_demand(cluster);
                     }
                 }
             }
@@ -1336,48 +1421,52 @@ impl Fabric {
     fn purge_unroutable_heads(&mut self) -> bool {
         let mut changed = false;
         // Only clusters holding buffered frames have heads to purge.
-        // Snapshot (the body drains counts); local vec is fine — this path
-        // only runs while links are down.
-        let active: Vec<u32> = self.active_clusters.clone();
-        for ci in active {
+        // Snapshot (the body drains counts) into the scan scratch, which
+        // `progress` takes only after this returns.
+        let mut active = std::mem::take(&mut self.scan_scratch);
+        active.clear();
+        active.extend_from_slice(&self.active_clusters);
+        for &ci in &active {
             let c = ci as usize;
             let cluster = ClusterId(ci);
             for k in 0..self.cluster_inputs[c].len() {
                 let input = self.cluster_inputs[c][k];
-                let Some(head) = self.links[input.0 as usize].buf.front() else {
+                // Only heads with an unroutable target lose anything.
+                if self.head_mask(cluster, input) & MASK_UNROUTABLE == 0 {
                     continue;
-                };
+                }
+                let head = self.links[input.0 as usize]
+                    .buf
+                    .front_mut()
+                    .expect("a flagged mask means a head");
                 let targets = head.dst.targets();
                 let live: Vec<NodeAddr> = targets
                     .iter()
                     .copied()
                     .filter(|t| self.topo.route(cluster, *t) != u8::MAX)
                     .collect();
-                if live.len() == targets.len() {
-                    continue;
-                }
                 let lost = (targets.len() - live.len()) as u64;
-                let head = self.links[input.0 as usize]
-                    .buf
-                    .front_mut()
-                    .expect("checked");
                 if live.is_empty() {
                     let dead = self.links[input.0 as usize]
                         .buf
                         .pop_front()
                         .expect("checked");
-                    self.note_cluster_drained(cluster);
+                    self.note_cluster_drained(cluster, input);
                     self.release_data_bytes(cluster, &dead);
                     self.in_flight -= 1;
-                } else if live.len() == 1 {
-                    head.dst = Dest::Unicast(live[0]);
                 } else {
-                    head.dst = Dest::Multicast(live.into());
+                    head.dst = if live.len() == 1 {
+                        Dest::Unicast(live[0])
+                    } else {
+                        Dest::Multicast(live.into())
+                    };
+                    self.head_masks[input.0 as usize] = MASK_STALE;
                 }
                 self.stats.frames_dropped += lost;
                 changed = true;
             }
         }
+        self.scan_scratch = active;
         changed
     }
 
@@ -1392,105 +1481,112 @@ impl Fabric {
         out_link: LinkId,
         out: &mut Output,
     ) -> bool {
-        let inputs = &self.cluster_inputs[cluster.0 as usize];
-        let n = inputs.len();
+        let c = cluster.0 as usize;
+        let n = self.cluster_inputs[c].len();
         if n == 0 {
             return false;
         }
         let start = self.rr[out_link.0 as usize] % n;
+        // The first input in round-robin order whose head wants `port`;
+        // the masks spare every other head a route walk.
+        let mut hit = None;
+        for k in 0..n {
+            let input = self.cluster_inputs[c][(start + k) % n];
+            if self.head_mask(cluster, input) & (1 << port) != 0 {
+                hit = Some((k, input));
+                break;
+            }
+        }
+        let Some((k, input)) = hit else {
+            return false;
+        };
+        self.rr[out_link.0 as usize] = (start + k + 1) % n;
         // The subset of the head's targets leaving through `port`, collected
         // into the hoisted scratch (target order preserved). Unicast heads —
         // the hot path — and multicast heads whose targets share the port
         // take the no-split branch below, which forwards the frame without
         // allocating anything.
         let mut via = std::mem::take(&mut self.fwd_scratch);
-        let mut hit = false;
-        for k in 0..n {
-            let input = inputs[(start + k) % n];
-            let Some(head) = self.links[input.0 as usize].buf.front() else {
-                continue;
-            };
-            via.clear();
-            let total = head.dst.targets().len();
-            for &t in head.dst.targets() {
-                if self.topo.route(cluster, t) == port {
-                    via.push(t);
+        via.clear();
+        let head = self.links[input.0 as usize]
+            .buf
+            .front()
+            .expect("a wanted port means a head");
+        let total = head.dst.targets().len();
+        via.extend(
+            head.dst
+                .targets()
+                .iter()
+                .copied()
+                .filter(|&t| self.topo.route(cluster, t) == port),
+        );
+        // Count frames leaving through a port the fault-free tables
+        // would not have chosen (adaptive reroute). The generation
+        // guard keeps this off the fault-free hot path.
+        if self.topo.generation() > 0
+            && via
+                .iter()
+                .any(|t| self.topo.base_route(cluster, *t) != port)
+        {
+            self.stats.frames_rerouted += 1;
+        }
+        if via.len() == total {
+            // Every remaining target leaves through this port: forward
+            // the buffered frame itself. No destination list is copied
+            // and no branch is replicated.
+            let mut done = self.links[input.0 as usize]
+                .buf
+                .pop_front()
+                .expect("checked");
+            self.note_cluster_drained(cluster, input);
+            self.release_data_bytes(cluster, &done);
+            // A split can leave a one-target `Multicast` head behind;
+            // forward it as the `Unicast` it now is, so delivered
+            // frames are identical to the pre-scratch grouping code.
+            if let Dest::Multicast(ts) = &done.dst {
+                if ts.len() == 1 {
+                    done.dst = Dest::Unicast(ts[0]);
                 }
             }
-            if via.is_empty() {
-                continue;
-            }
-            // Found a frame (or a multicast branch of one) for this port.
-            self.rr[out_link.0 as usize] = (start + k + 1) % n;
-            // Count frames leaving through a port the fault-free tables
-            // would not have chosen (adaptive reroute). The generation
-            // guard keeps this off the fault-free hot path.
-            if self.topo.generation() > 0
-                && via
-                    .iter()
-                    .any(|t| self.topo.base_route(cluster, *t) != port)
-            {
-                self.stats.frames_rerouted += 1;
-            }
-            if via.len() == total {
-                // Every remaining target leaves through this port: forward
-                // the buffered frame itself. No destination list is copied
-                // and no branch is replicated.
-                let mut done = self.links[input.0 as usize]
-                    .buf
-                    .pop_front()
-                    .expect("checked");
-                self.note_cluster_drained(cluster);
-                self.release_data_bytes(cluster, &done);
-                // A split can leave a one-target `Multicast` head behind;
-                // forward it as the `Unicast` it now is, so delivered
-                // frames are identical to the pre-scratch grouping code.
-                if let Dest::Multicast(ts) = &done.dst {
-                    if ts.len() == 1 {
-                        done.dst = Dest::Unicast(ts[0]);
-                    }
-                }
-                self.start_tx(out_link, done, out);
+            self.start_tx(out_link, done, out);
+        } else {
+            let head = self.links[input.0 as usize]
+                .buf
+                .front_mut()
+                .expect("checked");
+            let sub_dst = if via.len() == 1 {
+                Dest::Unicast(via[0])
             } else {
-                let head = self.links[input.0 as usize]
-                    .buf
-                    .front_mut()
-                    .expect("checked");
-                let sub_dst = if via.len() == 1 {
-                    Dest::Unicast(via[0])
-                } else {
-                    Dest::Multicast(via.as_slice().into())
-                };
-                // Replicate the branch by hand instead of `head.clone()`:
-                // the payload is a refcounted slice (every fan-out branch
-                // shares the same bytes), and cloning `head.dst` only to
-                // overwrite it would copy the target list a second time.
-                let copy = Frame {
-                    src: head.src,
-                    dst: sub_dst,
-                    kind: head.kind,
-                    seq: head.seq,
-                    payload: head.payload.clone(),
-                    corrupted: head.corrupted,
-                };
-                // Remove the transmitted targets from the head frame; the
-                // split branch is a new frame inside the fabric.
-                let remaining: Vec<NodeAddr> = head
-                    .dst
-                    .targets()
-                    .iter()
-                    .copied()
-                    .filter(|t| !via.contains(t))
-                    .collect();
-                head.dst = Dest::Multicast(remaining.into());
-                self.in_flight += 1;
-                self.start_tx(out_link, copy, out);
-            }
-            hit = true;
-            break;
+                Dest::Multicast(via.as_slice().into())
+            };
+            // Replicate the branch by hand instead of `head.clone()`:
+            // the payload is a refcounted slice (every fan-out branch
+            // shares the same bytes), and cloning `head.dst` only to
+            // overwrite it would copy the target list a second time.
+            let copy = Frame {
+                src: head.src,
+                dst: sub_dst,
+                kind: head.kind,
+                seq: head.seq,
+                payload: head.payload.clone(),
+                corrupted: head.corrupted,
+            };
+            // Remove the transmitted targets from the head frame; the
+            // split branch is a new frame inside the fabric.
+            let remaining: Vec<NodeAddr> = head
+                .dst
+                .targets()
+                .iter()
+                .copied()
+                .filter(|t| !via.contains(t))
+                .collect();
+            head.dst = Dest::Multicast(remaining.into());
+            self.head_masks[input.0 as usize] = MASK_STALE;
+            self.in_flight += 1;
+            self.start_tx(out_link, copy, out);
         }
         self.fwd_scratch = via;
-        hit
+        true
     }
 
     fn start_tx(&mut self, l: LinkId, frame: Frame, out: &mut Output) {
@@ -2319,5 +2415,235 @@ mod report_tests {
         assert!(cross_busy, "{report:?}");
         // Quiescent: nothing buffered anywhere.
         assert!(report.iter().all(|(_, _, _, buffered)| *buffered == 0));
+    }
+}
+
+#[cfg(test)]
+mod mask_tests {
+    //! One test per head-port-mask invalidation edge. Each pins the exact
+    //! `(time, endpoint, seq)` delivery schedule that forwarding produced
+    //! when every pass rescanned every port × input, so a mask that missed
+    //! a head change shows up as a moved delivery (and, in debug builds, as
+    //! the cached-vs-walked mask assertion).
+    use super::*;
+    use crate::driver::StandaloneNet;
+    use crate::frame::Payload;
+
+    type Schedule = [(u64, u32, u64)];
+
+    fn uni(src: u32, dst: u32, seq: u64, len: u32) -> Frame {
+        Frame::unicast(
+            NodeAddr(src),
+            NodeAddr(dst),
+            0,
+            seq,
+            Payload::Synthetic(len),
+        )
+    }
+
+    fn mcast(src: u32, dsts: &[u32], seq: u64, len: u32) -> Frame {
+        let dsts: Vec<NodeAddr> = dsts.iter().map(|&d| NodeAddr(d)).collect();
+        Frame {
+            src: NodeAddr(src),
+            dst: Dest::Multicast(dsts.into()),
+            kind: 0,
+            seq,
+            payload: Payload::Synthetic(len),
+            corrupted: false,
+        }
+    }
+
+    fn net(topo: Topology) -> StandaloneNet {
+        StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()))
+    }
+
+    fn schedule(net: &StandaloneNet) -> Vec<(u64, u32, u64)> {
+        net.delivered
+            .iter()
+            .map(|(t, to, f)| (*t, to.0, f.seq))
+            .collect()
+    }
+
+    #[test]
+    fn head_change_exposing_a_lower_port_is_picked_up() {
+        // One 12-port star. n3 -> n1 and n6 -> n11 (1024 B) hold output
+        // ports 1 and 11 from 53.5 us to 106.5 us.
+        // * n0's multicast {1, 9} arrives at 65.5 us with port 1 busy: the
+        //   split goes out on port 9 and leaves the head wanting port 1,
+        //   below the port just served. n0's next two frames queue behind.
+        // * n7 -> n11 waits for port 11 with n7 -> n4 behind it: the pop
+        //   on port 11 exposes a head for the lower port 4.
+        let mut net = net(Topology::single_cluster(12).unwrap());
+        net.send_at(0, uni(3, 1, 1, 1024));
+        net.send_at(0, uni(6, 11, 2, 1024));
+        net.send_at(60_000, mcast(0, &[1, 9], 3, 64));
+        net.send_at(60_000, uni(0, 9, 4, 64));
+        net.send_at(60_000, uni(0, 2, 5, 64));
+        net.send_at(60_000, uni(7, 11, 6, 64));
+        net.send_at(60_000, uni(7, 4, 7, 64));
+        net.run();
+        const EXPECTED: &Schedule = &[
+            (71000, 9, 3),
+            (107000, 1, 1),
+            (107000, 11, 2),
+            (112000, 1, 3),
+            (112000, 9, 4),
+            (112000, 11, 6),
+            (112000, 4, 7),
+            (117500, 2, 5),
+        ];
+        assert_eq!(schedule(&net), EXPECTED);
+    }
+
+    #[test]
+    fn head_exposed_for_a_higher_port_goes_out_in_the_same_pass() {
+        // n3 -> n5 (1024 B) holds port 5 until 106.5 us; n0 -> n5 waits
+        // for it with n0's multicast {2, 9} behind. When port 5 frees, one
+        // pass forwards on 5, exposing the multicast, and then on 9; port
+        // 2, already passed, goes out on the next pass. Both copies arrive
+        // at the same instant, so the order they are delivered in pins the
+        // order they were forwarded in.
+        let mut net = net(Topology::single_cluster(12).unwrap());
+        net.send_at(0, uni(3, 5, 1, 1024));
+        net.send_at(60_000, uni(0, 5, 2, 64));
+        net.send_at(60_000, mcast(0, &[2, 9], 3, 64));
+        net.run();
+        const EXPECTED: &Schedule = &[
+            (107000, 5, 1),
+            (112000, 5, 2),
+            (112000, 9, 3),
+            (112000, 2, 3),
+        ];
+        assert_eq!(schedule(&net), EXPECTED);
+    }
+
+    #[test]
+    fn link_cut_and_heal_reroute_buffered_frames() {
+        // 4 clusters × 3 endpoints: c0 (n0..n2) reaches c3 (n9..n11) via c1
+        // on the fault-free tables. c0's senders queue 1024 B frames on the
+        // c0 -> c1 cable; the cut at 60 us loses the frame on the cable
+        // and changes the routes of frames already buffered at c0 (a
+        // topology generation change); the heal at 200 us changes them
+        // back.
+        let mut net = net(Topology::incomplete_hypercube(4, 3).unwrap());
+        let cable = net.fabric.cluster_link(ClusterId(0), ClusterId(1)).unwrap();
+        for src in 0..3u32 {
+            for k in 0..4u64 {
+                net.send_at(0, uni(src, 9 + src, u64::from(src) * 10 + k, 1024));
+            }
+        }
+        net.set_link_down_at(60_000, cable, true);
+        net.set_link_down_at(200_000, cable, false);
+        net.run();
+        let s = &net.fabric.stats;
+        assert_eq!((s.frames_dropped, s.frames_rerouted), (1, 3));
+        const EXPECTED: &Schedule = &[
+            (220500, 10, 10),
+            (273500, 11, 20),
+            (326500, 9, 1),
+            (360500, 10, 11),
+            (413500, 11, 21),
+            (466500, 9, 2),
+            (519500, 10, 12),
+            (572500, 11, 22),
+            (625500, 9, 3),
+            (678500, 10, 13),
+            (731500, 11, 23),
+        ];
+        assert_eq!(schedule(&net), EXPECTED);
+    }
+
+    #[test]
+    fn combining_flush_reenters_through_its_arrival_link() {
+        use crate::combine::{self, CombOp};
+        // Every endpoint of a 4 × 3 hypercube sends a 1024 B unicast and
+        // then a sum contribution to root n0. Held partials flush back
+        // into the input they first arrived on, some behind buffered
+        // unicasts and some as the new head. Merged frames carry the
+        // contribution seq, 5497558139136.
+        let mut fab = Fabric::new(
+            Topology::incomplete_hypercube(4, 3).unwrap(),
+            NetConfig::paper_1988(),
+        );
+        let members: Vec<NodeAddr> = (0..12).map(NodeAddr).collect();
+        fab.comb_register_group(5, 30, &members, NodeAddr(0), 12);
+        let mut net = StandaloneNet::new(fab);
+        let seq = combine::enc_seq(5, 1, 0);
+        for m in 1..12u32 {
+            net.send_at(0, uni(m, 0, u64::from(m), 1024));
+            net.send_at(
+                0,
+                Frame::unicast(
+                    NodeAddr(m),
+                    NodeAddr(0),
+                    30,
+                    seq,
+                    combine::pack(CombOp::Sum, u64::from(m), 1),
+                ),
+            );
+        }
+        net.run();
+        let (mut total, mut count) = (0, 0);
+        for (_, _, f) in net.delivered.iter().filter(|(_, _, f)| f.kind == 30) {
+            let (_, v, c) = combine::unpack(&f.payload).unwrap();
+            total += v;
+            count += c;
+        }
+        assert_eq!((total, count), ((1..12).sum::<u64>(), 11));
+        assert!(net.fabric.stats.comb_flushes > 0);
+        const EXPECTED: &Schedule = &[
+            (107000, 0, 1),
+            (160000, 0, 2),
+            (213000, 0, 3),
+            (266000, 0, 6),
+            (268450, 0, 5497558139136),
+            (321450, 0, 4),
+            (374450, 0, 7),
+            (427450, 0, 5),
+            (480450, 0, 8),
+            (533450, 0, 9),
+            (535900, 0, 5497558139136),
+            (538350, 0, 5497558139136),
+            (591350, 0, 10),
+            (644350, 0, 11),
+            (646800, 0, 5497558139136),
+        ];
+        assert_eq!(schedule(&net), EXPECTED);
+    }
+
+    #[test]
+    fn partition_purges_and_strips_unroutable_heads() {
+        // Two clusters of three joined by one cable. n0 and n1 queue
+        // 1024 B frames for c1; n2 -> n1 holds n1's port; n2's multicast
+        // {1, 4} arrives with both its ports busy. Cutting the cable both
+        // ways at 80 us leaves heads at c0 with no route: unicasts to c1
+        // are purged and the multicast is stripped to {1}. The heal at
+        // 300 us reopens the cable for frames sent after it.
+        let mut net = net(Topology::incomplete_hypercube(2, 3).unwrap());
+        let there = net.fabric.cluster_link(ClusterId(0), ClusterId(1)).unwrap();
+        let back = net.fabric.cluster_link(ClusterId(1), ClusterId(0)).unwrap();
+        for k in 0..3u64 {
+            net.send_at(0, uni(0, 3, k, 1024));
+            net.send_at(0, uni(1, 4, 10 + k, 1024));
+        }
+        net.send_at(0, uni(2, 1, 20, 1024));
+        net.send_at(10_000, mcast(2, &[1, 4], 21, 1024));
+        for l in [there, back] {
+            net.set_link_down_at(80_000, l, true);
+            net.set_link_down_at(300_000, l, false);
+        }
+        net.send_at(310_000, uni(0, 5, 30, 64));
+        net.send_at(310_000, mcast(5, &[0, 2, 4], 31, 64));
+        net.run();
+        assert_eq!(net.fabric.stats.frames_dropped, 7);
+        const EXPECTED: &Schedule = &[
+            (107000, 1, 20),
+            (160000, 1, 21),
+            (321000, 4, 31),
+            (326500, 5, 30),
+            (326500, 0, 31),
+            (326500, 2, 31),
+        ];
+        assert_eq!(schedule(&net), EXPECTED);
     }
 }

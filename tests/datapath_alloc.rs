@@ -1,7 +1,8 @@
 //! Zero-copy accounting on the fabric forwarding hot path: multicast
 //! fan-out must share one refcounted payload across every branch — no
 //! payload-byte copies (copymeter) and no heap churn proportional to
-//! payload size × fan-out (counting allocator).
+//! payload size × fan-out (counting allocator). Also the VORX multicast
+//! delivery path: one reassembly gather per receiver at most.
 
 mod common;
 
@@ -10,6 +11,8 @@ use std::sync::Mutex;
 use common::allocated;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
+use hpc_vorx::vorx::multicast::{join, mread, mwrite};
+use hpc_vorx::vorx::VorxBuilder;
 
 /// The copymeter is process-global (it also counts copies made on
 /// simulation threads), so the tests that move payload bytes serialize on
@@ -86,4 +89,42 @@ fn forwarding_churn_is_payload_size_independent() {
         "forwarding allocated {excess} payload-size-dependent bytes \
          (small run: {small}, large run: {large})"
     );
+}
+
+/// Payload bytes copied while node 0 of a 3-node cluster multicasts `len`
+/// bytes to nodes 1 and 2 and both read the message.
+fn multicast_copies(len: usize) -> u64 {
+    let before = copymeter::payload_bytes_copied();
+    let mut v = VorxBuilder::single_cluster(3).build();
+    v.spawn("n0:w", move |ctx| {
+        mwrite(
+            &ctx,
+            NodeAddr(0),
+            6,
+            vec![NodeAddr(1), NodeAddr(2)],
+            Payload::copy_from(&vec![7u8; len]),
+        );
+    });
+    for n in 1..3u32 {
+        v.spawn(format!("n{n}:r"), move |ctx| {
+            join(&ctx, NodeAddr(n), 6);
+            let _ = mread(&ctx, NodeAddr(n), 6);
+        });
+    }
+    v.run_all();
+    copymeter::payload_bytes_copied() - before
+}
+
+/// The receive side-buffer path holds fragments as refcounted slices: a
+/// single-fragment message reaches `mread` without the simulator copying
+/// any payload bytes, and a multi-fragment message costs exactly one
+/// reassembly gather per receiver.
+#[test]
+fn delivery_copies_are_one_gather_per_receiver() {
+    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Only the creation copy inside `Payload::copy_from`: hardware
+    // replication to both receivers and both deliveries are zero-copy.
+    assert_eq!(multicast_copies(600), 600);
+    // Creation + one 3-fragment gather per receiver, nothing per-frame.
+    assert_eq!(multicast_copies(2500), 2500 + 2 * 2500);
 }
