@@ -4,6 +4,8 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> first-party Rust lines (informational, no gate): $(find crates src tests examples -name '*.rs' -not -path '*/target/*' | xargs cat | wc -l)"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -240,7 +240,9 @@ impl Calibration {
     }
 
     /// An idealized zero-cost-software calibration, useful in unit tests
-    /// that check protocol *logic* rather than timing.
+    /// that check protocol *logic* rather than timing. Every software cost
+    /// is zero; timeouts, retry budgets, windows and caps are
+    /// [`Calibration::paper_1988`]'s.
     pub fn instant() -> Self {
         Calibration {
             intr_entry_ns: 0,
@@ -251,7 +253,6 @@ impl Calibration {
             chan_sidebuf_ns_per_byte: 0,
             chan_ack_gen_ns: 0,
             copy_user_ns_per_byte: 0,
-            chan_side_buffers: 8,
             ctx_switch_ns: 0,
             coroutine_switch_ns: 0,
             udco_send_ns: 0,
@@ -264,26 +265,7 @@ impl Calibration {
             stub_create_ns: 0,
             host_syscall_ns: 0,
             host_copy_ns_per_byte: 0,
-            stub_fd_limit: 32,
-            chan_ack_timeout_ns: 20_000_000,
-            chan_max_retries: 6,
-            ctl_timeout_ns: 20_000_000,
-            ctl_max_retries: 6,
-            open_timeout_ns: 50_000_000,
-            open_max_retries: 8,
-            crash_detect_ns: 200_000_000,
-            partition_detect_ns: 250_000_000,
-            rto_floor_ns: 5_000_000,
-            rto_ceil_ns: 640_000_000,
-            flap_damp_downs: 3,
-            flap_window_ns: 50_000_000,
-            flap_hold_ns: 100_000_000,
-            chan_window: 1,
-            chan_rx_frag_buffers: 64,
-            chan_reorder_frags: 32,
-            max_chans_per_node: 4096,
-            listener_backlog_cap: 1024,
-            mgr_pending_cap: 4096,
+            ..Calibration::paper_1988()
         }
     }
 

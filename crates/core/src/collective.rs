@@ -1135,8 +1135,7 @@ mod tests {
             let mut v = v;
             let end = v.run_all().as_ns();
             let r = results.lock().unwrap().clone();
-            let trace = v.merged_trace().to_json();
-            (end, r, trace)
+            (end, r, v.merged_trace())
         };
         let (e1, r1, t1) = run(1);
         let (e4, r4, t4) = run(4);

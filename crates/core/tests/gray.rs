@@ -13,11 +13,11 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use desim::{FaultSchedule, SimDuration, SimTime};
+use desim::{FaultSchedule, SimDuration, SimTime, Trace};
 use proptest::prelude::*;
 use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
 use vorx::rtt::RttEstimator;
-use vorx::{channel, VCtx, VorxBuilder};
+use vorx::{channel, TraceEvent, VCtx, VorxBuilder};
 
 /// The calibration clamp used by the transport (see `Calibration`).
 const FLOOR_NS: u64 = 5_000_000;
@@ -115,7 +115,7 @@ fn gray_schedule(seed: u64) -> FaultSchedule {
 /// Run paced cross-cluster streams (one rides the degraded direction, one
 /// rides the flapping cable) at `workers` threads; return the merged trace
 /// plus the facts the oracles need.
-fn run_once(workers: usize) -> (String, u64, u64, u64) {
+fn run_once(workers: usize) -> (Trace<TraceEvent>, u64, u64, u64) {
     let t = topo();
     let mut v = VorxBuilder::with_topology(t.clone())
         .seed(0x6A41)
@@ -147,7 +147,7 @@ fn run_once(workers: usize) -> (String, u64, u64, u64) {
         });
     }
     let end = v.run_all();
-    let trace = v.merged_trace().to_json();
+    let trace = v.merged_trace();
     let flaps = v.sum_over_shards(|w| w.link_fault_stats().values().map(|s| s.flaps).sum());
     let samples = v.sum_over_shards(|w| {
         w.nodes

@@ -39,7 +39,7 @@ fn build_chain() -> Simulation<ChainWorld> {
     sim
 }
 
-fn run_chain() -> (SimTime, String) {
+fn run_chain() -> (SimTime, Trace<u64>) {
     let mut sim = build_chain();
     let report = sim.run_to_idle();
     assert!(
@@ -47,7 +47,7 @@ fn run_chain() -> (SimTime, String) {
         "chain wedged, parked: {:?}",
         report.parked
     );
-    let w = sim.world();
+    let mut w = sim.world();
     assert_eq!(w.turn, CHAIN);
     // Every link fired, in order, all at t=0: the whole cascade runs on the
     // same-instant lane without time ever advancing.
@@ -60,17 +60,17 @@ fn run_chain() -> (SimTime, String) {
         })
         .collect();
     assert_eq!(fired, (0..CHAIN as u64).collect::<Vec<_>>());
-    (report.now, w.trace.to_json())
+    (report.now, std::mem::take(&mut w.trace))
 }
 
 /// Determinism under the same-instant lane: two independent runs of the
-/// 1024-process wake chain must produce bit-identical serialized traces.
+/// 1024-process wake chain must produce identical traces.
 #[test]
 fn wake_chain_1024_is_deterministic() {
-    let (now_a, json_a) = run_chain();
-    let (now_b, json_b) = run_chain();
+    let (now_a, trace_a) = run_chain();
+    let (now_b, trace_b) = run_chain();
     assert_eq!(now_a, now_b);
-    assert_eq!(json_a, json_b, "traces differ between identical runs");
+    assert_eq!(trace_a, trace_b, "traces differ between identical runs");
 }
 
 /// Spurious wakeups must not break a condition loop: a waiter poked many

@@ -15,11 +15,11 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use hpc_vorx::desim::{FaultSchedule, LinkFaults};
+use hpc_vorx::desim::{FaultSchedule, LinkFaults, Trace};
 use hpc_vorx::hpcnet::combine::CombOp;
 use hpc_vorx::hpcnet::{NetConfig, NodeAddr, Topology};
 use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
-use hpc_vorx::vorx::VorxBuilder;
+use hpc_vorx::vorx::{TraceEvent, VorxBuilder};
 
 const GROUP: u32 = 7;
 /// Fixed shard count: the shard partition is part of the simulated outcome,
@@ -43,7 +43,7 @@ struct Run {
     r1: Vec<u64>,
     r2: Vec<u64>,
     end_ns: u64,
-    trace: String,
+    trace: Trace<TraceEvent>,
 }
 
 /// Run one in-network group of `operands.len()` members sharded over
@@ -90,7 +90,7 @@ fn run_group(
     }
     let mut v = v;
     let end = v.run_all();
-    let trace = v.merged_trace().to_json();
+    let trace = v.merged_trace();
     let (r1, r2) = (r1.lock().clone(), r2.lock().clone());
     Run {
         r1,
@@ -192,7 +192,7 @@ fn unused_group_leaves_noncollective_traces_untouched() {
         });
         let mut v = v;
         let end = v.run_all();
-        (end.as_ns(), v.merged_trace().to_json())
+        (end.as_ns(), v.merged_trace())
     };
     let (end_armed, trace_armed) = run(true);
     let (end_bare, trace_bare) = run(false);

@@ -2,12 +2,12 @@
 //! interconnect, kernel, channels, object managers, hosts, tools, and
 //! workloads together.
 
-use desim::{SimDuration, SimTime};
+use desim::{SimDuration, SimTime, Trace};
 use hpc_vorx::vorx::alloc::UserId;
 use hpc_vorx::vorx::host::{create_stub, syscall, SyscallOp, SyscallRet};
 use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, VCtx, VorxBuilder};
+use hpc_vorx::vorx::{channel, TraceEvent, VCtx, VorxBuilder};
 use hpc_vorx::vorx_tools::{cdb, oscillo::Oscilloscope, prof::ProfReport};
 
 /// A full Figure-1-style application: hosts, allocation, stubs, syscalls,
@@ -77,7 +77,7 @@ fn spanning_application_with_hosts_and_tools() {
 /// traces, byte for byte.
 #[test]
 fn full_stack_determinism() {
-    fn run() -> (u64, String) {
+    fn run() -> (u64, Trace<TraceEvent>) {
         let mut v = VorxBuilder::single_cluster(6).seed(99).build();
         for i in 0..2u32 {
             let (a, b) = (1 + i * 2, 2 + i * 2);
@@ -95,8 +95,8 @@ fn full_stack_determinism() {
             });
         }
         let end = v.run_all();
-        let w = v.world();
-        (end.as_ns(), w.trace.to_json())
+        let trace = std::mem::take(&mut v.world().trace);
+        (end.as_ns(), trace)
     }
     let (t1, j1) = run();
     let (t2, j2) = run();

@@ -8,10 +8,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
+use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime, Trace};
 use hpc_vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, fault, VorxBuilder, VorxError};
+use hpc_vorx::vorx::{channel, fault, TraceEvent, VorxBuilder, VorxError};
 
 use proptest::prelude::*;
 
@@ -141,8 +141,8 @@ const FAILOVER_MSGS: u32 = 12;
 /// The campaign's failover protocol in miniature: reader's node crashes
 /// mid-stream and restarts; the pair rendezvouses on a generation-suffixed
 /// name where the reader reports its resume index. Returns the committed
-/// indices and the full execution trace as JSON.
-fn failover_run(seed: u64) -> (Vec<u32>, usize, String) {
+/// indices and the full execution trace.
+fn failover_run(seed: u64) -> (Vec<u32>, usize, Trace<TraceEvent>) {
     let schedule = FaultSchedule::new(seed)
         .all_links(LinkFaults::loss(0.05))
         .down_at(1, SimTime::from_ns(1_000_000))
@@ -218,7 +218,7 @@ fn failover_run(seed: u64) -> (Vec<u32>, usize, String) {
     });
     let report = v.run();
     let leaked = report.parked.len();
-    let trace = v.world().trace.to_json();
+    let trace = std::mem::take(&mut v.world().trace);
     let order = got.lock().clone();
     (order, leaked, trace)
 }
@@ -241,10 +241,7 @@ fn same_fault_seed_replays_bit_identically() {
     let (order_b, leaked_b, trace_b) = failover_run(42);
     assert_eq!(order_a, order_b);
     assert_eq!(leaked_a, leaked_b);
-    assert!(
-        !trace_a.is_empty() && trace_a.len() > 2,
-        "trace must record"
-    );
+    assert!(!trace_a.is_empty(), "trace must record");
     assert_eq!(trace_a, trace_b, "faulted runs must replay bit-identically");
 }
 

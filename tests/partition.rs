@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
+use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime, Trace};
 use hpc_vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::name_hash;
-use hpc_vorx::vorx::{channel, Calibration, VorxBuilder, VorxError};
+use hpc_vorx::vorx::{channel, Calibration, TraceEvent, VorxBuilder, VorxError};
 
 use proptest::prelude::*;
 
@@ -59,8 +59,8 @@ struct Run {
     writer_stalls: u32,
     /// Processes left parked at idle (must always be zero).
     leaked: usize,
-    /// The full execution trace as JSON.
-    trace: String,
+    /// The full execution trace.
+    trace: Trace<TraceEvent>,
     partitions: u64,
     heals: u64,
     probes_sent: u64,
@@ -126,12 +126,12 @@ fn churn_run(schedule: FaultSchedule, calib: Calibration, msgs: u8) -> Run {
     let leaked = report.parked.len();
     let delivered = got.lock().clone();
     let writer_stalls = *stalls.lock();
-    let w = v.world();
+    let mut w = v.world();
     Run {
         delivered,
         writer_stalls,
         leaked,
-        trace: w.trace.to_json(),
+        trace: std::mem::take(&mut w.trace),
         partitions: w.faults.stats.partitions,
         heals: w.faults.stats.heals,
         probes_sent: w.faults.stats.probes_sent,
@@ -379,7 +379,7 @@ fn equal_churn_seeds_replay_bit_identically() {
     let b = churn_run(churny_schedule(77), Calibration::paper_1988(), 8);
     assert_eq!(a.delivered, b.delivered);
     assert_eq!(a.leaked, 0);
-    assert!(a.trace.len() > 2, "trace must record");
+    assert!(!a.trace.is_empty(), "trace must record");
     assert_eq!(a.trace, b.trace, "churn runs must replay bit-identically");
     let c = churn_run(churny_schedule(78), Calibration::paper_1988(), 8);
     assert_ne!(a.trace, c.trace, "a different seed must take another path");

@@ -2,9 +2,11 @@
 //! topology, workload, and seed — never of the worker-thread count — and a
 //! single-shard sharded run replays the sequential engine byte-for-byte.
 
-use desim::{FaultSchedule, SimTime};
+use desim::{FaultSchedule, LinkFaults, SimTime, Trace};
 use hpc_vorx::vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::{channel, workers_from_env, VCtx, VorxBuilder, VorxShardedSim};
+use hpc_vorx::vorx::{
+    channel, workers_from_env, TraceEvent, VCtx, VorxBuilder, VorxShardedSim, VorxSim,
+};
 use hpc_vorx::vorx_tools::oscillo::Oscilloscope;
 
 /// Group node addresses by cluster, in address order.
@@ -93,8 +95,8 @@ fn churn_schedule(topo: &Topology, seed: u64) -> FaultSchedule {
 }
 
 /// Run the 70-node workload sharded with the given worker count; return the
-/// merged trace JSON plus headline counters.
-fn run70(workers: usize, seed: u64) -> (String, u64, u64, SimTime) {
+/// merged trace plus headline counters.
+fn run70(workers: usize, seed: u64) -> (Trace<TraceEvent>, u64, u64, SimTime) {
     let topo = topo70();
     let pairs = cross_pairs(&topo, 5);
     let faults = churn_schedule(&topo, seed);
@@ -108,7 +110,7 @@ fn run70(workers: usize, seed: u64) -> (String, u64, u64, SimTime) {
     let end = v.run_all();
     let delivered = v.sum_over_shards(|w| w.net.stats.frames_delivered);
     let bridged = v.stats().msgs_bridged;
-    (v.merged_trace().to_json(), delivered, bridged, end)
+    (v.merged_trace(), delivered, bridged, end)
 }
 
 #[test]
@@ -127,6 +129,39 @@ fn worker_count_is_invisible_at_70_nodes() {
     assert_eq!(t1, t8, "workers=8 diverged from workers=1");
 }
 
+/// Run `pairs` for `msgs` messages each on `builder()`'s sequential build
+/// and on its one-shard sharded build, and assert the two executions are
+/// identical: same merged trace, end time and delivered frame count.
+/// Returns the finished sequential run.
+fn assert_one_shard_matches_sequential(
+    builder: impl Fn() -> VorxBuilder,
+    pairs: &[(NodeAddr, NodeAddr)],
+    msgs: usize,
+) -> VorxSim {
+    let mut seq = builder().build();
+    spawn_pairs(pairs, msgs, |_, name, f| {
+        seq.spawn(name, f);
+    });
+    let seq_end = seq.run_all();
+    let seq_trace = std::mem::take(&mut seq.world().trace);
+    let seq_delivered = seq.world().net.stats.frames_delivered;
+
+    let mut sh = builder().shards(1).build_sharded(1);
+    assert_eq!(sh.n_shards(), 1);
+    spawn_pairs(pairs, msgs, |node, name, f| {
+        sh.spawn_at(node, name, f);
+    });
+    let sh_end = sh.run_all();
+    let sh_delivered = sh.world(0).net.stats.frames_delivered;
+    let sh_trace = sh.merged_trace();
+
+    assert!(!seq_trace.is_empty(), "trace must record");
+    assert_eq!(seq_end, sh_end);
+    assert_eq!(seq_delivered, sh_delivered);
+    assert_eq!(seq_trace, sh_trace, "single-shard run must be identical");
+    seq
+}
+
 #[test]
 fn single_shard_matches_sequential_engine_byte_for_byte() {
     // One cluster ⇒ one shard ⇒ the sharded build must replay the
@@ -135,31 +170,37 @@ fn single_shard_matches_sequential_engine_byte_for_byte() {
     let faults = FaultSchedule::new(7)
         .down_at(3, SimTime::from_ns(9_000 * 1_000))
         .up_at(3, SimTime::from_ns(11_000 * 1_000));
+    assert_one_shard_matches_sequential(
+        || VorxBuilder::single_cluster(8).faults(faults.clone()),
+        &pairs,
+        3,
+    );
+}
 
-    let mut seq = VorxBuilder::single_cluster(8)
-        .faults(faults.clone())
-        .build();
-    spawn_pairs(&pairs, 3, |_, name, f| {
-        seq.spawn(name, f);
-    });
-    let seq_end = seq.run_all();
-    let seq_json = seq.world().trace.to_json();
-    let seq_delivered = seq.world().net.stats.frames_delivered;
-
-    let mut sh = VorxBuilder::single_cluster(8)
-        .faults(faults)
-        .build_sharded(1);
-    assert_eq!(sh.n_shards(), 1);
-    spawn_pairs(&pairs, 3, |node, name, f| {
-        sh.spawn_at(node, name, f);
-    });
-    let sh_end = sh.run_all();
-    let sh_delivered = sh.world(0).net.stats.frames_delivered;
-    let sh_json = sh.merged_trace().to_json();
-
-    assert_eq!(seq_end, sh_end);
-    assert_eq!(seq_delivered, sh_delivered);
-    assert_eq!(seq_json, sh_json, "single-shard run must be byte-identical");
+/// Four clusters grouped into one shard must also replay the sequential
+/// engine exactly — cross-cluster routing, 2% loss on every link and a
+/// crash/restart included — since no frame ever crosses a shard.
+#[test]
+fn one_shard_multi_cluster_matches_sequential_engine() {
+    let topo = Topology::incomplete_hypercube(4, 3).unwrap();
+    let pairs = cross_pairs(&topo, 2);
+    let spare = *by_cluster(&topo)[1].last().unwrap();
+    let faults = FaultSchedule::new(0x4C)
+        .all_links(LinkFaults::loss(0.02))
+        .down_at(spare.0, SimTime::from_ns(3_000 * 1_000))
+        .up_at(spare.0, SimTime::from_ns(7_000 * 1_000));
+    let seq = assert_one_shard_matches_sequential(
+        || {
+            VorxBuilder::hypercube(4, 3)
+                .seed(0x4C)
+                .faults(faults.clone())
+        },
+        &pairs,
+        4,
+    );
+    let w = seq.world();
+    assert!(w.faults.stats.retransmits > 0, "the loss must bite");
+    assert!(w.faults.stats.crashes > 0, "the crash must fire");
 }
 
 /// The env-selected worker count (`VORX_SIM_WORKERS` — what `ci.sh` sweeps
@@ -274,7 +315,7 @@ fn seeds_are_worker_invariant() {
                 v.spawn_at(node, name, f);
             });
             v.run_all();
-            v.merged_trace().to_json()
+            v.merged_trace()
         };
         assert_eq!(run(1), run(3), "seed {seed:#x} diverged across workers");
     }
@@ -339,7 +380,7 @@ fn overload_shedding_is_worker_invariant() {
         v.run_all();
         let shed = v.sum_over_shards(|w| w.net.stats.frames_shed);
         let retx = v.sum_over_shards(|w| w.faults.stats.retransmits);
-        (v.merged_trace().to_json(), shed, retx)
+        (v.merged_trace(), shed, retx)
     };
     let (t1, shed1, retx1) = run(1);
     let (t4, shed4, retx4) = run(4);
