@@ -18,6 +18,9 @@ VORX_SIM_WORKERS=4 cargo test --workspace -q
 echo "==> cargo test (VORX_SIM_WORKERS=8: sharded paths at eight workers)"
 VORX_SIM_WORKERS=8 cargo test --workspace -q
 
+echo "==> cargo test --release -p desim (process coroutine switch under optimisation)"
+cargo test --release -p desim -q
+
 echo "==> perfbench tests (benchmark generators, oracles, metric names)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 

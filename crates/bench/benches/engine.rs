@@ -37,7 +37,7 @@ fn bench_event_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-/// 1k sleep/wake cycles of one cooperative process (two thread handoffs
+/// 1k sleep/wake cycles of one cooperative process (two coroutine switches
 /// per cycle) — the cost floor of simulated blocking software.
 fn bench_process_switching(c: &mut Criterion) {
     let mut g = c.benchmark_group("desim");
@@ -69,9 +69,9 @@ struct ChainWorld {
 }
 
 /// A 256-process wake chain: each process waits its turn, then wakes its
-/// successor with a zero-delay wake. Every link is one park/unpark handoff
-/// plus one same-instant event — the dominant pattern of simulated kernels
-/// acknowledging each other (and the worst case for the old channel baton).
+/// successor with a zero-delay wake. Every link is one process resume plus
+/// one same-instant event — the dominant pattern of simulated kernels
+/// acknowledging each other.
 fn bench_wake_chain(c: &mut Criterion) {
     const LINKS: usize = 256;
     let mut g = c.benchmark_group("desim");

@@ -121,8 +121,9 @@ struct Cell {
     /// Engine counters of the first repeat (empty on the sequential
     /// engine): rounds, bridged messages, frontier bumps (the null-message
     /// traffic equivalent) and events per shard. With two or more workers,
-    /// rounds and bumps follow host thread interleaving. The per-worker
-    /// stall accounting is host-timing noise and is the last repeat's.
+    /// rounds and bumps follow host thread interleaving, so the report puts
+    /// them under `host_timing`. The per-worker stall accounting is
+    /// host-timing noise and is the last repeat's.
     stats: PdesStats,
 }
 
@@ -279,13 +280,23 @@ fn report(configs: &[ConfigResult]) -> Report {
                 0 => "sequential".to_string(),
                 w => format!("sharded-{w}w"),
             };
-            obj! {
+            let cell = obj! {
                 "engine": engine, "workers": c.workers, "pinned": c.pinned,
                 "median_wall_ns": c.median_wall(), "wall_ns": &c.wall_ns,
-                "rounds": c.stats.rounds, "msgs_bridged": c.stats.msgs_bridged,
-                "frontier_bumps": c.stats.frontier_bumps, "worker_stalls": stalls,
-                "events_per_shard": &c.stats.events_per_shard,
-            }
+                "msgs_bridged": c.stats.msgs_bridged,
+            };
+            let (rounds, bumps) = (c.stats.rounds, c.stats.frontier_bumps);
+            // With two or more workers these follow host thread interleaving.
+            let cell = if c.workers >= 2 {
+                cell.field(
+                    "host_timing",
+                    obj! { "rounds": rounds, "frontier_bumps": bumps },
+                )
+            } else {
+                cell.field("rounds", rounds).field("frontier_bumps", bumps)
+            };
+            cell.field("worker_stalls", stalls)
+                .field("events_per_shard", &c.stats.events_per_shard)
         });
         let speedup = |a: usize, b: usize| Fixed(cfg.med(a) as f64 / cfg.med(b) as f64, 3);
         obj! {

@@ -17,8 +17,8 @@
 //!   folded over shards;
 //! * [`Report`], [`obj!`](crate::obj), [`Lines`]: the one JSON writer.
 //!   Every report opens with the common header `note`, `host_cpus`
-//!   (effective CPU affinity mask) and `wall_s` (the bin's total host
-//!   wall-clock).
+//!   (effective CPU affinity mask), `rustc` (`rustc -V`), `profile`
+//!   (`debug` or `release`) and `wall_s` (the bin's total host wall-clock).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -567,6 +567,24 @@ fn entry(key: &str, value: impl Json) -> String {
     format!("{}: {}", to_json(key), to_json(&value))
 }
 
+/// `rustc -V` of the toolchain on `PATH`, or `"unknown"` if it cannot be run.
+fn rustc_version() -> String {
+    let out = std::process::Command::new("rustc").arg("-V").output().ok();
+    out.filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(|l| l.trim().to_string()))
+        .unwrap_or_else(|| "unknown".into())
+}
+
+/// The build profile this binary was compiled with.
+fn profile() -> &'static str {
+    if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    }
+}
+
 /// A `BENCH_*.json` report: the common header, then top-level fields in
 /// insertion order, one per line.
 pub struct Report {
@@ -594,11 +612,14 @@ impl Report {
         self.field(key, Lines::rows(4, rows))
     }
 
-    /// The report text, header first: `note`, `host_cpus`, `wall_s`.
+    /// The report text, header first: `note`, `host_cpus`, `rustc`,
+    /// `profile`, `wall_s`.
     pub fn render(&self, wall_s: f64) -> String {
         let mut items = vec![
             entry("note", &self.note),
             entry("host_cpus", affinity::effective_parallelism()),
+            entry("rustc", rustc_version()),
+            entry("profile", profile()),
             entry("wall_s", Fixed(wall_s, 3)),
         ];
         items.extend(self.fields.iter().cloned());
@@ -662,8 +683,15 @@ mod tests {
             .rows("empty", Vec::<Obj>::new())
             .render(1.5);
         let cpus = affinity::effective_parallelism();
+        let rustc = to_json(&rustc_version());
+        assert!(
+            rustc.starts_with("\"rustc ") || rustc == "\"unknown\"",
+            "{rustc}"
+        );
+        let profile = profile();
         let expected = format!(
-            "{{\n  \"note\": \"n\",\n  \"host_cpus\": {cpus},\n  \"wall_s\": 1.500,\n  \
+            "{{\n  \"note\": \"n\",\n  \"host_cpus\": {cpus},\n  \"rustc\": {rustc},\n  \
+             \"profile\": \"{profile}\",\n  \"wall_s\": 1.500,\n  \
              \"workload\": {{ \"messages\": 2 }},\n  \"cells\": [\n    {{ \"a\": 1,\n      \
              \"b\": [1, 2] }},\n    {{}}\n  ],\n  \"empty\": [\n  ]\n}}\n"
         );

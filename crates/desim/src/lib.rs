@@ -7,8 +7,8 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`Simulation`] — the executor. Hardware models run as **event
 //!   callbacks** over a user-defined world state `W`; software (operating
-//!   system code, application processes) runs as **cooperative-thread
-//!   processes** written in ordinary blocking style via [`Ctx`].
+//!   system code, application processes) runs as **processes** written in
+//!   ordinary blocking style via [`Ctx`], each on its own coroutine stack.
 //! * [`sync`] — wait sets, semaphores, and mailboxes for simulated
 //!   processes.
 //! * [`Trace`] — timestamped event recording for the measurement tools.
@@ -21,8 +21,17 @@
 //!
 //! Exactly one simulated activity executes at any moment; the event queue is
 //! ordered by `(time, sequence)`. Two runs of the same scenario produce
-//! bit-identical traces. Processes are real OS threads, but they are resumed
-//! one at a time by the executor, so there is no scheduling nondeterminism.
+//! bit-identical traces. Processes are stackful coroutines that the executor
+//! resumes one at a time on its own OS thread, so there is no scheduling
+//! nondeterminism.
+//!
+//! ## Platform and process contracts
+//!
+//! x86_64 Linux only. Each process runs on a 2 MiB stack above a guard page;
+//! overflowing it is a SIGSEGV, not Rust's "stack overflow" message. Process
+//! code runs on whichever OS thread drives its simulation, so thread-locals
+//! are shared by every process of a simulation (or shard), and a process of a
+//! [`ShardedSim`] may resume on another OS thread across `run_to_idle` calls.
 //!
 //! ## Example
 //!
@@ -47,6 +56,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod coro;
 mod sim;
 mod time;
 

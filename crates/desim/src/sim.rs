@@ -5,38 +5,51 @@
 //! * **Events** — boxed closures over the world state `W`, used for hardware
 //!   models (links freeing, messages arriving, interrupts firing). They run
 //!   to completion and never block.
-//! * **Processes** — cooperative OS threads, used for software (VORX
+//! * **Processes** — stackful coroutines, used for software (VORX
 //!   subprocesses, host programs). Process code is written in direct blocking
-//!   style: it parks and is resumed by events or other processes. Exactly one
-//!   simulated activity executes at a time, so the simulation is fully
-//!   deterministic despite using real threads.
+//!   style: it parks and is resumed by events or other processes. The
+//!   executor runs each process on its own stack but on the executor's own OS
+//!   thread, so exactly one simulated activity executes at a time and the
+//!   simulation is fully deterministic.
 //!
 //! Determinism contract: the event queue is ordered by `(time, sequence
 //! number)`; ties fire in scheduling order. Any randomness must come from an
 //! explicitly seeded RNG stored in `W`.
 //!
+//! # Process contracts
+//!
+//! * x86_64 Linux only (see `coro.rs`).
+//! * Each process gets a 2 MiB stack with a guard page below it. Overflowing
+//!   it is a SIGSEGV, not Rust's "stack overflow" message.
+//! * Process code runs on whichever OS thread drives the simulation, so a
+//!   thread-local seen from process code is shared by every process of that
+//!   [`Simulation`], and a process of a sharded run may resume on another OS
+//!   thread across `run_to_idle` calls.
+//!
 //! # Hot-path design
 //!
-//! The executor⇄process handoff is a single shared [`Baton`] per process — a
-//! `turn` word flipped with release/acquire ordering plus
-//! `thread::park`/`unpark` — so a context switch moves no heap data and takes
-//! no channel locks. Same-instant wakes (the common case in protocol code:
-//! `wake` + `park` chains at one timestamp) bypass the binary heap through a
-//! FIFO *lane*, making zero-delay scheduling O(1). Simulated time lives in an
-//! atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is lock-free, and
-//! [`Scheduler`] buffers are pooled so steady-state event dispatch allocates
-//! nothing.
+//! The executor⇄process handoff is one [`Co`] per process: resuming stores
+//! the wakeup token and calls `coro::switch`, which swaps stack pointers; the
+//! process parks by switching back. A context switch moves no heap data,
+//! takes no lock and makes no system call. Same-instant wakes (the common case
+//! in protocol code: `wake` + `park` chains at one timestamp) bypass the
+//! binary heap through a FIFO *lane*, making zero-delay scheduling O(1).
+//! Simulated time lives in an atomic mirror ([`SimInner::now_ns`]) so
+//! [`Ctx::now`] is lock-free, and [`Scheduler`] buffers are pooled so
+//! steady-state event dispatch allocates nothing.
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::{self, Stack};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated process for the lifetime of a [`Simulation`].
@@ -127,90 +140,150 @@ impl<W> Ord for QEntry<W> {
     }
 }
 
-/// `Baton::turn`: the process may run.
-const TURN_PROC: u32 = 0;
-/// `Baton::turn`: the executor may run.
-const TURN_EXEC: u32 = 1;
-
-/// `Baton::report`: the process parked and can be resumed again.
-const REPORT_PARKED: u32 = 0;
-/// `Baton::report`: the process body returned.
-const REPORT_FINISHED: u32 = 1;
-/// `Baton::report`: the process body panicked; `panic_msg` is set.
-const REPORT_PANICKED: u32 = 2;
-
-/// The executor⇄process handoff cell. Exactly one side is running at any
-/// moment; `turn` says which. A handoff is: write your payload (`token` or
-/// `report`) with relaxed stores, flip `turn` with a release store (which
-/// publishes the payload), and unpark the peer. The waiter loops on an
-/// acquire load of `turn` around `thread::park()`, which makes it immune to
-/// spurious unparks. No allocation, no channel, no lock on the hot path.
-struct Baton {
-    /// Whose turn it is: [`TURN_PROC`] or [`TURN_EXEC`].
-    turn: AtomicU32,
-    /// Wakeup token payload; written by the executor before flipping `turn`.
-    token: AtomicU64,
-    /// What the process reported when handing back: `REPORT_*`.
-    report: AtomicU32,
-    /// Set (before a `turn` flip) to make the process unwind instead of
-    /// resuming; used when the simulation is dropped with parked processes.
-    kill: AtomicBool,
-    /// The executor thread to unpark when handing the turn back. Updated by
-    /// the executor on each resume (the run loop may move between threads).
-    exec: Mutex<Option<Thread>>,
-    /// Panic message, set before reporting `REPORT_PANICKED`.
-    panic_msg: Mutex<Option<String>>,
-}
-
-impl Baton {
-    fn new() -> Self {
-        Baton {
-            turn: AtomicU32::new(TURN_EXEC),
-            token: AtomicU64::new(0),
-            report: AtomicU32::new(REPORT_PARKED),
-            kill: AtomicBool::new(false),
-            exec: Mutex::new(None),
-            panic_msg: Mutex::new(None),
-        }
-    }
-
-    /// Process side: hand the turn to the executor and wake it.
-    fn yield_to_exec(&self, report: u32) {
-        self.report.store(report, AtomicOrdering::Relaxed);
-        self.turn.store(TURN_EXEC, AtomicOrdering::Release);
-        if let Some(t) = self.exec.lock().as_ref() {
-            t.unpark();
-        }
-    }
-
-    /// Process side: wait until the executor hands the turn over. Returns the
-    /// wakeup token; unwinds with [`Killed`] if the simulation is tearing
-    /// down.
-    fn await_turn(&self) -> Wakeup {
-        while self.turn.load(AtomicOrdering::Acquire) != TURN_PROC {
-            std::thread::park();
-        }
-        if self.kill.load(AtomicOrdering::Relaxed) {
-            resume_unwind(Box::new(Killed));
-        }
-        Wakeup(self.token.load(AtomicOrdering::Relaxed))
-    }
-}
-
+/// Where a process stands: set to `Running` by the executor before it
+/// switches in, and to one of the others by the process before it switches
+/// back. Read only by the thread driving the simulation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum ProcState {
-    Parked,
+enum Report {
     Running,
+    /// Not started yet, or parked: can be resumed.
+    Parked,
+    /// The process body returned, or unwound with [`Killed`].
     Finished,
+    /// The process body panicked; `panic_msg` is set.
+    Panicked,
+}
+
+/// One process's coroutine: its stack, the two saved stack pointers, and
+/// what passes between executor and process on a switch. Only one side runs
+/// at a time and both run on the same OS thread, so plain `Cell`s suffice.
+struct Co {
+    /// The process's stack; released as soon as the body finishes or panics.
+    stack: Cell<Option<Stack>>,
+    /// Addresses of that stack: code running inside them is this process.
+    bounds: Range<usize>,
+    /// The process's stack pointer while it is suspended.
+    sp: Cell<*mut u8>,
+    /// The executor's stack pointer while the process runs.
+    exec_sp: Cell<*mut u8>,
+    /// Wakeup token handed over by the executor.
+    token: Cell<u64>,
+    report: Cell<Report>,
+    /// Set before a resume to make the process unwind with [`Killed`]
+    /// instead of continuing; used when the simulation is dropped.
+    kill: Cell<bool>,
+    panic_msg: Cell<Option<String>>,
+    /// The process body, taken when the process first runs.
+    body: Cell<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+// SAFETY: `bounds` is immutable. Every `Cell` (the stack, both stack
+// pointers, token, report, kill flag, panic message and body) is touched
+// only by the executor (`run_until`, `Drop` and `idle_report`, which need
+// `&mut` or exclusive access to the simulation) and by the process itself,
+// which `leave` checks by its stack address. The two run on one OS thread
+// and strictly alternate, and moving the simulation to another thread
+// between runs hands over all of it. The body is `Send`.
+unsafe impl Send for Co {}
+unsafe impl Sync for Co {}
+
+impl Co {
+    /// A coroutine whose first resume runs `co_main` on a fresh stack.
+    fn new() -> Arc<Co> {
+        let stack = Stack::new();
+        let co = Arc::new(Co {
+            stack: Cell::new(None),
+            bounds: stack.bounds(),
+            sp: Cell::new(std::ptr::null_mut()),
+            exec_sp: Cell::new(std::ptr::null_mut()),
+            token: Cell::new(0),
+            report: Cell::new(Report::Parked),
+            kill: Cell::new(false),
+            panic_msg: Cell::new(None),
+            body: Cell::new(None),
+        });
+        co.sp
+            .set(stack.prepare(co_main, Arc::as_ptr(&co).cast_mut().cast()));
+        co.stack.set(Some(stack));
+        co
+    }
+
+    /// Executor side: run the process until it parks, finishes or panics.
+    /// A finished or panicked process's stack is released at once, for the
+    /// next spawn to reuse.
+    fn enter(&self, token: Wakeup) -> Report {
+        assert_eq!(self.report.get(), Report::Parked, "resumed a live process");
+        self.token.set(token.0);
+        self.report.set(Report::Running);
+        // SAFETY: the process is parked, so `sp` was saved by its last switch
+        // out (or made by `Stack::prepare`), and its stack is still mapped:
+        // it is released only below, once the process can never run again.
+        unsafe { coro::switch(self.exec_sp.as_ptr(), self.sp.get()) };
+        let report = self.report.get();
+        if report != Report::Parked {
+            if let Some(stack) = self.stack.take() {
+                stack.release();
+            }
+        }
+        report
+    }
+
+    /// Process side: hand control back to the executor with `report`.
+    fn leave(&self, report: Report) {
+        let here = &report as *const Report as usize;
+        assert!(
+            self.bounds.contains(&here),
+            "Ctx used outside its own process"
+        );
+        debug_assert_eq!(self.report.get(), Report::Running);
+        self.report.set(report);
+        // SAFETY: this code runs on the process's own stack, so the process
+        // is running and `exec_sp` is the executor's stack pointer saved by
+        // the `enter` that resumed it.
+        unsafe { coro::switch(self.sp.as_ptr(), self.exec_sp.get()) };
+    }
+}
+
+/// Entry point of every process stack.
+///
+/// # Safety
+/// `arg` must point to the process's live [`Co`]: `Co::new` passes
+/// `Arc::as_ptr`, and its `ProcSlot` keeps the `Arc` until the simulation
+/// drops.
+unsafe extern "C" fn co_main(arg: *mut u8) -> ! {
+    // SAFETY: see `# Safety`.
+    let co = unsafe { &*arg.cast::<Co>() };
+    let report = run_body(co);
+    co.leave(report);
+    // A finished process is never resumed again.
+    std::process::abort()
+}
+
+/// Run the process body under `catch_unwind`: nothing may unwind past the
+/// coroutine's root. Every local is dropped before the final switch out.
+fn run_body(co: &Co) -> Report {
+    let body = co.body.take().expect("process body");
+    if co.kill.get() {
+        return Report::Finished; // dropped before it ever ran
+    }
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(()) => Report::Finished,
+        Err(payload) if payload.is::<Killed>() => Report::Finished,
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "<non-string panic payload>".into());
+            co.panic_msg.set(Some(msg));
+            Report::Panicked
+        }
+    }
 }
 
 struct ProcSlot {
     name: String,
-    state: ProcState,
-    baton: Arc<Baton>,
-    /// The process's OS thread, for `unpark`.
-    thread: Thread,
-    join: Option<JoinHandle<()>>,
+    co: Arc<Co>,
 }
 
 struct Core<W> {
@@ -281,8 +354,8 @@ struct SimInner<W> {
     pool: Mutex<Vec<SchBufs<W>>>,
 }
 
-/// Marker payload used to unwind process threads when the simulation is
-/// dropped while they are still parked.
+/// Marker payload used to unwind processes when the simulation is dropped
+/// while they are still parked.
 struct Killed;
 
 struct SpawnReq<W> {
@@ -376,7 +449,7 @@ impl<W: Send + 'static> Scheduler<W> {
 pub struct Ctx<W> {
     inner: Arc<SimInner<W>>,
     pid: ProcId,
-    baton: Arc<Baton>,
+    co: Arc<Co>,
 }
 
 impl<W> Clone for Ctx<W> {
@@ -384,7 +457,7 @@ impl<W> Clone for Ctx<W> {
         Ctx {
             inner: Arc::clone(&self.inner),
             pid: self.pid,
-            baton: Arc::clone(&self.baton),
+            co: Arc::clone(&self.co),
         }
     }
 }
@@ -417,8 +490,11 @@ impl<W: Send + 'static> Ctx<W> {
 
     /// Park until woken. Returns the (advisory) wakeup token.
     pub fn park(&self) -> Wakeup {
-        self.baton.yield_to_exec(REPORT_PARKED);
-        self.baton.await_turn()
+        self.co.leave(Report::Parked);
+        if self.co.kill.get() {
+            resume_unwind(Box::new(Killed));
+        }
+        Wakeup(self.co.token.get())
     }
 
     /// Advance this process's local time by `d` (modelling computation or a
@@ -460,7 +536,7 @@ fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
     }
 }
 
-/// Commit everything a `Scheduler` collected: create spawned process threads,
+/// Commit everything a `Scheduler` collected: create spawned processes,
 /// register them, and push all pending actions into the queue. Leaves the
 /// scheduler's buffers empty (capacity retained) so the caller can reuse or
 /// pool them. Takes no locks at all when nothing was scheduled.
@@ -503,57 +579,15 @@ fn start_proc<W: Send + 'static>(
     inner: &Arc<SimInner<W>>,
     req: SpawnReq<W>,
 ) -> (ProcId, SimTime, ProcSlot) {
-    let baton = Arc::new(Baton::new());
+    let co = Co::new();
     let ctx = Ctx {
         inner: Arc::clone(inner),
         pid: req.pid,
-        baton: Arc::clone(&baton),
+        co: Arc::clone(&co),
     };
-    let thread_baton = Arc::clone(&baton);
     let f = req.f;
-    let join = std::thread::Builder::new()
-        .name(format!("sim:{}", req.name))
-        .spawn(move || {
-            let baton = thread_baton;
-            // Wait for the initial resume before running the body.
-            while baton.turn.load(AtomicOrdering::Acquire) != TURN_PROC {
-                std::thread::park();
-            }
-            if baton.kill.load(AtomicOrdering::Relaxed) {
-                return;
-            }
-            let report = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                Ok(()) => REPORT_FINISHED,
-                Err(payload) => {
-                    if payload.downcast_ref::<Killed>().is_some() {
-                        // Simulation is being torn down; exit quietly without
-                        // handing the turn back (nobody is waiting for it).
-                        return;
-                    }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
-                    *baton.panic_msg.lock() = Some(msg);
-                    REPORT_PANICKED
-                }
-            };
-            baton.yield_to_exec(report);
-        })
-        .expect("failed to spawn simulation process thread");
-    let thread = join.thread().clone();
-    (
-        req.pid,
-        req.at,
-        ProcSlot {
-            name: req.name,
-            state: ProcState::Parked,
-            baton,
-            thread,
-            join: Some(join),
-        },
-    )
+    co.body.set(Some(Box::new(move || f(ctx))));
+    (req.pid, req.at, ProcSlot { name: req.name, co })
 }
 
 /// Why a call to [`Simulation::run_until`] / [`Simulation::run_to_idle`]
@@ -591,7 +625,7 @@ pub struct Simulation<W: Send + 'static> {
 /// What the locked dequeue step handed the run loop to execute.
 enum Next<W> {
     Run(EventFn<W>, SimTime),
-    Wake(Arc<Baton>, Thread, ProcId, Wakeup),
+    Wake(*const Co, ProcId, Wakeup),
 }
 
 impl<W: Send + 'static> Simulation<W> {
@@ -672,9 +706,6 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Run until no events remain or the next event is later than `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        // The run loop may be called from different threads across calls;
-        // capture the current one once for the baton handoffs below.
-        let me = std::thread::current();
         // One set of scheduler buffers serves every event callback this run
         // dispatches; per-event pool traffic would cost more than it saves.
         let mut bufs = self.inner.pool.lock().pop().unwrap_or_default();
@@ -739,24 +770,16 @@ impl<W: Send + 'static> Simulation<W> {
                             break Next::Run(f, core.now);
                         }
                         Pending::Wake(pid, token) => {
-                            let slot = core.slot_mut(pid);
-                            if slot.state == ProcState::Finished {
-                                continue; // stale wakeup for a completed process
+                            let co = &core.slot_mut(pid).co;
+                            match co.report.get() {
+                                Report::Parked => {}
+                                // Stale wakeup for a completed process.
+                                Report::Finished | Report::Panicked => continue,
+                                Report::Running => unreachable!("woke a running process"),
                             }
-                            debug_assert_eq!(
-                                slot.state,
-                                ProcState::Parked,
-                                "woke a running process"
-                            );
-                            slot.state = ProcState::Running;
-                            let next = Next::Wake(
-                                Arc::clone(&slot.baton),
-                                slot.thread.clone(),
-                                pid,
-                                token,
-                            );
+                            let co = Arc::as_ptr(co);
                             core.dispatched += 1;
-                            break next;
+                            break Next::Wake(co, pid, token);
                         }
                     }
                 }
@@ -777,9 +800,9 @@ impl<W: Send + 'static> Simulation<W> {
                     bufs.pending = sch.pending;
                     bufs.spawns = sch.spawns;
                 }
-                Next::Wake(baton, thread, pid, token) => {
-                    self.resume(&me, baton, thread, pid, token)
-                }
+                // SAFETY: a `ProcSlot` is never removed while the simulation
+                // lives, and it holds an `Arc` to its `Co`.
+                Next::Wake(co, pid, token) => self.resume(unsafe { &*co }, pid, token),
             }
         };
         let mut pool = self.inner.pool.lock();
@@ -789,41 +812,16 @@ impl<W: Send + 'static> Simulation<W> {
         outcome
     }
 
-    /// Hand the turn to `pid`'s thread, wait for it to hand back, and record
-    /// how it yielded. The baton and thread handle were fetched under the
-    /// same core lock that dequeued the wake, so the happy path (process
-    /// parks again) costs one lock to re-mark it parked and nothing else.
-    fn resume(&self, me: &Thread, baton: Arc<Baton>, thread: Thread, pid: ProcId, token: Wakeup) {
-        *baton.exec.lock() = Some(me.clone());
-        baton.token.store(token.0, AtomicOrdering::Relaxed);
-        baton.turn.store(TURN_PROC, AtomicOrdering::Release);
-        thread.unpark();
-        while baton.turn.load(AtomicOrdering::Acquire) != TURN_EXEC {
-            std::thread::park();
-        }
-        match baton.report.load(AtomicOrdering::Relaxed) {
-            REPORT_PARKED => {
-                self.inner.core.lock().slot_mut(pid).state = ProcState::Parked;
-            }
-            REPORT_FINISHED => {
-                self.inner.core.lock().slot_mut(pid).state = ProcState::Finished;
-            }
-            _ => {
-                // Panic path: only now is the process name needed, so the
-                // clone happens here instead of on every resume.
-                let name = {
-                    let mut core = self.inner.core.lock();
-                    let slot = core.slot_mut(pid);
-                    slot.state = ProcState::Finished;
-                    slot.name.clone()
-                };
-                let msg = baton
-                    .panic_msg
-                    .lock()
-                    .take()
-                    .unwrap_or_else(|| "<missing panic message>".into());
-                panic!("simulated process '{name}' panicked: {msg}");
-            }
+    /// Switch to `pid`'s coroutine until it yields. A process that parked
+    /// or finished needs no further bookkeeping; a panic is re-raised here.
+    fn resume(&self, co: &Co, pid: ProcId, token: Wakeup) {
+        if co.enter(token) == Report::Panicked {
+            let name = self.inner.core.lock().slot_mut(pid).name.clone();
+            let msg = co
+                .panic_msg
+                .take()
+                .unwrap_or_else(|| "<missing panic message>".into());
+            panic!("simulated process '{name}' panicked: {msg}");
         }
     }
 
@@ -875,7 +873,7 @@ fn idle_report<W>(core: &Core<W>) -> IdleReport {
         .enumerate()
         .filter_map(|(i, s)| {
             s.as_ref()
-                .filter(|s| s.state == ProcState::Parked)
+                .filter(|s| s.co.report.get() == Report::Parked)
                 .map(|s| (ProcId(i as u32), s.name.clone()))
         })
         .collect();
@@ -887,25 +885,31 @@ fn idle_report<W>(core: &Core<W>) -> IdleReport {
 
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
-        let handles: Vec<JoinHandle<()>> = {
-            let mut core = self.inner.core.lock();
-            let mut handles = Vec::new();
-            for slot in core.procs.iter_mut().flatten() {
-                if slot.state != ProcState::Finished {
-                    // The kill flag is published by the release flip of
-                    // `turn`; the woken process unwinds instead of resuming.
-                    slot.baton.kill.store(true, AtomicOrdering::Relaxed);
-                    slot.baton.turn.store(TURN_PROC, AtomicOrdering::Release);
-                    slot.thread.unpark();
-                }
-                if let Some(h) = slot.join.take() {
-                    handles.push(h);
+        // Unwind every unfinished process with `Killed` on this thread, so
+        // its locals' destructors run. The core lock is released first: the
+        // destructors may schedule (or even spawn, hence the outer loop).
+        loop {
+            let live: Vec<Arc<Co>> = {
+                let core = self.inner.core.lock();
+                core.procs
+                    .iter()
+                    .flatten()
+                    .filter(|slot| slot.co.report.get() == Report::Parked && !slot.co.kill.get())
+                    .map(|slot| Arc::clone(&slot.co))
+                    .collect()
+            };
+            if live.is_empty() {
+                break;
+            }
+            for co in live {
+                co.kill.set(true);
+                if co.enter(Wakeup::START) == Report::Parked {
+                    // A destructor parked while unwinding: its frames can
+                    // never finish, so leave them mapped rather than free
+                    // memory they still live in.
+                    std::mem::forget(co.stack.take());
                 }
             }
-            handles
-        };
-        for h in handles {
-            let _ = h.join();
         }
     }
 }
@@ -1092,7 +1096,7 @@ mod tests {
             });
         }
         sim.run_to_idle();
-        drop(sim); // must join all eight threads without deadlock
+        drop(sim); // must unwind all eight processes without deadlock
     }
 
     #[test]
